@@ -1,11 +1,15 @@
 """Relax-and-round approximation.
 
 Solve the partial relaxation (binary open flags, continuous post indicators),
-then round each station's post profile up to the largest indicator with mass.
-The rounded point stays feasible: capacity can only grow when the one-hot
-lands on the largest supported count, and weighted post sums can only grow,
-which preserves the across-tree monotonicity rows.  The relaxation optimum is
-a valid lower bound, reported alongside the rounded plan.
+then round each station's post profile up to the largest indicator with mass,
+and never below the count rounded at the parent node.  The rounded point
+stays feasible: capacity can only grow when the one-hot lands on a count at
+least as large as every supported one, and taking the parent's count as a
+floor keeps posts from shrinking along the tree.  The largest supported count
+alone does not: two profiles with equal weighted sums, such as {1: 0.96,
+3: 0.04} at a parent and {1: 0.92, 2: 0.08} at its child, round to 3 and 2.
+The relaxation optimum is a valid lower bound, reported alongside the
+rounded plan.
 """
 
 from __future__ import annotations
@@ -51,6 +55,8 @@ def approximate(inst: Instance, limits: MipLimits | None = None) -> ApproxResult
     posts_map = {}
     for n in inst.node_ids():
         open_row = tuple(sol.values[em.x[n, j]] > 0.5 for j in range(inst.n_locations))
+        parent = inst.node(n).parent
+        floor = posts_map[parent] if parent is not None else (0,) * inst.n_locations
         posts_row = []
         for j in range(inst.n_locations):
             if not open_row[j]:
@@ -62,7 +68,7 @@ def approximate(inst: Instance, limits: MipLimits | None = None) -> ApproxResult
             }
             k = round_posts(profile)
             # the one-hot row guarantees total mass 1 on an open station
-            posts_row.append(k if k is not None else 1)
+            posts_row.append(max(k if k is not None else 1, floor[j]))
         open_map[n] = open_row
         posts_map[n] = tuple(posts_row)
     dep = Deployment(open=open_map, posts=posts_map)

@@ -25,7 +25,7 @@ from .evcec import (
     objective_value,
     save_solution,
 )
-from .heuristic import InfeasibleInstanceError, best_greedy
+from .heuristic import InfeasibleInstanceError, best_greedy, local_search
 from .instance import GenParams, PRESETS, generate, load, save, with_queue
 from .milp import MipLimits, solve_mip
 from .report import compare_metrics, queue_report, render_cg_log, render_tables
@@ -166,7 +166,7 @@ def _run_algo(algo: str, inst, time_limit: float, gap_tol: float, root_only: boo
                                 "gap": res.gap_lb}, False, None
     if algo == "heuristic":
         try:
-            dep = best_greedy(inst)
+            dep = local_search(inst, best_greedy(inst))
         except InfeasibleInstanceError:
             return None, {"t_s": time.monotonic() - t0}, True, None
         elapsed = time.monotonic() - t0

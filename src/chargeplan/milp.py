@@ -1,11 +1,16 @@
 """Embedded LP/MIP kernel.
 
-A solver-agnostic model container plus a dense two-phase simplex (with dual
-and reduced-cost extraction) and a best-first branch-and-bound over binary
-variables.  Dense tableaus are deliberate: every model this package solves is
-desk scale, and a self-contained kernel keeps results reproducible.  The
-narrow ``solve_lp`` / ``solve_mip`` surface lets an external solver be
-adapted in later without touching callers.
+A solver-agnostic model container plus a bounded dual simplex (with dual and
+reduced-cost extraction) and a best-first branch-and-bound over binary
+variables.  Variable bounds stay implicit: a nonbasic variable rests at its
+lower or upper bound, and each row's sense lives in the bounds of its logical
+variable.  The standard form is built once per model; branch-and-bound
+children re-optimise from their parent's basis, which a bound fix leaves dual
+feasible, so only the root LP starts from the all-logical basis.  Dense
+arrays are deliberate: every model this package solves is desk scale, and a
+self-contained kernel keeps results reproducible.  The narrow ``solve_lp`` /
+``solve_mip`` surface lets an external solver be adapted in later without
+touching callers.
 
 Dual sign convention for minimization: duals are shadow prices d(objective)/
 d(rhs), so >= rows get nonnegative duals, <= rows nonpositive, = rows free.
@@ -28,6 +33,9 @@ _FEAS_TOL = 1e-7
 _OPT_TOL = 1e-7
 _PIVOT_TOL = 1e-9
 _INT_TOL = 1e-6
+_REFACTOR_EVERY = 100   # basis updates between refactorisations
+_MAX_PIVOTS_PER_COLUMN = 50   # iteration guard of one dual simplex run
+_ROUNDS = 20            # dual simplex restarts after flips or a dual phase 1
 
 
 class KernelError(RuntimeError):
@@ -64,6 +72,7 @@ class Model:
         self.cons: list[ConstraintDef] = []
         self.obj: dict[int, float] = {}
         self.obj_offset: float = 0.0
+        self._std = None  # standard form for solve_lp, dropped on every change
 
     def add_var(self, kind: str = CONTINUOUS, lower: float = 0.0, upper: float = INF,
                 name: str = "") -> int:
@@ -74,6 +83,7 @@ class Model:
         if lower > upper:
             raise ModelError(f"variable lower bound {lower} exceeds upper bound {upper}")
         vid = len(self.vars)
+        self._std = None
         self.vars.append(VarDef(vid, kind, float(lower), float(upper), name or f"v{vid}"))
         return vid
 
@@ -94,6 +104,7 @@ class Model:
             if coeff != 0.0:
                 clean.append((vid, float(coeff)))
         idx = len(self.cons)
+        self._std = None
         self.cons.append(ConstraintDef(tuple(clean), sense, float(rhs), name or f"c{idx}"))
         return idx
 
@@ -103,6 +114,7 @@ class Model:
             obj[vid] = obj.get(vid, 0.0) + float(coeff)
         self.obj = obj
         self.obj_offset = float(offset)
+        self._std = None
 
     @property
     def num_vars(self) -> int:
@@ -147,6 +159,7 @@ class LpSolution:
     objective: float
     duals: dict[int, float]
     reduced_costs: dict[int, float]
+    basis: LpBasis | None = None   # final basis of an optimal solve, for warm starts
 
 
 @dataclass
@@ -167,233 +180,310 @@ class MipLimits:
 
 
 # ---------------------------------------------------------------------------
-# Simplex
+# Bounded dual simplex
 
 
-def _pivot(T: np.ndarray, row: int, col: int) -> None:
-    T[row] /= T[row, col]
-    other = T[:, col].copy()
-    other[row] = 0.0
-    T -= np.outer(other, T[row])
+@dataclass(frozen=True, eq=False)
+class LpBasis:
+    """A simplex basis, enough to warm-start ``solve_lp``.
 
-
-def _run_simplex(T: np.ndarray, basis: list[int], c: np.ndarray, allowed: int):
-    """Dantzig-rule simplex on tableau T = [B^-1 A | B^-1 b]; switches to
-    Bland's rule after `allowed` consecutive degenerate pivots.  Returns
-    'optimal' or 'unbounded'.
-
-    The reduced-cost row is maintained incrementally and re-derived from the
-    basis whenever it claims optimality, so drift cannot end a solve early.
+    ``head[i]`` is the column basic in row i and ``at_upper`` lists the
+    nonbasic columns resting at their upper bound.  Column j < num_vars is
+    variable j; column num_vars + i is the logical of row i.
     """
-    m, ncols = T.shape[0], T.shape[1] - 1
-    bland = False
-    degenerate = 0
-    red = c - c[basis] @ T[:, :ncols]
-    red[basis] = 0.0
-    max_iters = 50 * (m + ncols) + 2000
-    for _ in range(max_iters):
-        if bland:
-            negs = np.flatnonzero(red < -_OPT_TOL)
-            enter = int(negs[0]) if negs.size else -1
-        else:
-            enter = int(np.argmin(red))
-            if red[enter] >= -_OPT_TOL:
-                enter = -1
-        if enter < 0:
-            exact = c - c[basis] @ T[:, :ncols]
-            exact[basis] = 0.0
-            if exact.min() >= -_OPT_TOL:
-                return "optimal"
-            red = exact
-            continue
-        col = T[:, enter]
-        rows = np.flatnonzero(col > _PIVOT_TOL)
-        if rows.size == 0:
-            return "unbounded"
-        ratios = T[rows, -1] / col[rows]
-        best = ratios.min()
-        ties = rows[np.flatnonzero(ratios <= best + 1e-12)]
-        if bland:
-            leave = int(ties[np.argmin(np.asarray(basis)[ties])])
-        else:
-            leave = int(ties[0])
-        if best <= 1e-11:
-            degenerate += 1
-            if degenerate > allowed:
-                bland = True
-        else:
-            degenerate = 0
-        _pivot(T, leave, enter)
-        red -= red[enter] * T[leave, :ncols]
-        red[enter] = 0.0
-        basis[leave] = enter
-    raise KernelError("simplex iteration guard tripped")
+    head: np.ndarray
+    at_upper: np.ndarray
 
 
-def _solve_lp_arrays(model: Model, overrides: dict[int, tuple[float, float]] | None):
-    """Two-phase simplex on the model with optional bound overrides.
+class _StandardForm:
+    """The model as  min c.x  s.t.  A x + s = 0,  lo <= (x, s) <= up.
 
-    Returns (status, values, objective, duals, reduced_costs).
+    The logical s_i = -a_i.x carries the sense and right-hand side of row i
+    in its bounds, so every variable bound stays implicit, [A | I] always has
+    full row rank and the all-logical basis is the identity.  Built once per
+    model; bound overrides only replace ``lo`` and ``up``.
     """
-    n = model.num_vars
-    lo = np.array([v.lower for v in model.vars])
-    hi = np.array([v.upper for v in model.vars])
+
+    def __init__(self, model: Model):
+        n, m = model.num_vars, model.num_constraints
+        self.n, self.m = n, m
+        self.A = np.zeros((m, n))
+        self.lo = np.empty(n + m)
+        self.up = np.empty(n + m)
+        for i, con in enumerate(model.cons):
+            for vid, coeff in con.terms:
+                self.A[i, vid] = coeff
+            self.lo[n + i] = -INF if con.sense == GE else -con.rhs
+            self.up[n + i] = INF if con.sense == LE else -con.rhs
+        for v in model.vars:
+            self.lo[v.id] = v.lower
+            self.up[v.id] = v.upper
+        self.c = np.zeros(n + m)
+        for vid, coeff in model.obj.items():
+            self.c[vid] = coeff
+        self.offset = model.obj_offset
+        self.rows_of = [np.flatnonzero(self.A[:, j]) for j in range(n)]
+
+
+class _DualSimplex:
+    """Bounded dual simplex on a standard form under given bounds and costs.
+
+    Keeps an explicit basis inverse, refactorised from the basic columns every
+    ``_REFACTOR_EVERY`` pivots and before optimality is declared.  Rows are
+    priced by dual steepest edge with exact weights; the ratio test passes
+    the breakpoints of boxed columns by flipping them to their other bound
+    (bound-flipping ratio test) and picks the largest pivot among the
+    breakpoints within the dual tolerance (Harris).
+    """
+
+    def __init__(self, std: _StandardForm, lo, up, cost, head, at_upper):
+        n, m = std.n, std.m
+        self.std, self.lo, self.up, self.c = std, lo, up, cost
+        self.head = np.array(head, dtype=np.intp)
+        self.pos = np.full(n + m, -1, dtype=np.intp)
+        self.pos[self.head] = np.arange(m)
+        self.finite_lo = np.isfinite(lo)
+        finite_up = np.isfinite(up)
+        self.movable = lo < up
+        self.range = up - lo
+        self.at_up = (at_upper & finite_up) | (~self.finite_lo & finite_up)
+        self.x = np.where(self.at_up, up, np.where(self.finite_lo, lo, 0.0))
+        self.refactor()
+
+    def refactor(self) -> None:
+        """Invert the basis from its columns: with the basic logicals covering
+        rows L, only the square block of basic structurals on the other rows
+        needs a dense inverse."""
+        std, head = self.std, self.head
+        n, m = std.n, std.m
+        ks = np.flatnonzero(head < n)
+        kl = np.flatnonzero(head >= n)
+        cols, logical_rows = head[ks], head[kl] - n
+        rest = np.ones(m, dtype=bool)
+        rest[logical_rows] = False
+        rows = np.flatnonzero(rest)
+        binv = np.zeros((m, m))
+        if ks.size:
+            try:
+                inv = np.linalg.inv(std.A[np.ix_(rows, cols)])
+            except np.linalg.LinAlgError:
+                raise KernelError("singular basis") from None
+            if not np.isfinite(inv).all():
+                raise KernelError("singular basis")
+            binv[np.ix_(ks, rows)] = inv
+            binv[np.ix_(kl, rows)] = -std.A[np.ix_(logical_rows, cols)] @ inv
+        binv[kl, logical_rows] = 1.0
+        self.binv = binv
+        self.updates = 0
+        x = self.x
+        x[head] = 0.0
+        x[head] = -(binv @ (std.A @ x[:n] + x[n:]))
+        self.y = self.c[head] @ binv
+        self.d = self.c.copy()
+        self.d[:n] -= self.y @ std.A
+        self.d[n:] -= self.y
+        self.d[head] = 0.0
+        self.w = np.einsum("ij,ij->i", binv, binv)
+
+    def wrong_sign(self) -> np.ndarray:
+        """Mask of the nonbasic columns whose reduced cost points past the
+        bound they rest on."""
+        d = self.d
+        at_lo = ~self.at_up & self.finite_lo
+        return ((self.pos < 0) & self.movable
+                & (((d < -_OPT_TOL) & ~self.at_up) | ((d > _OPT_TOL) & ~at_lo)))
+
+    def flip(self, cols: np.ndarray) -> None:
+        n = self.std.n
+        self.at_up[cols] = ~self.at_up[cols]
+        new = np.where(self.at_up[cols], self.up[cols], self.lo[cols])
+        delta = new - self.x[cols]
+        self.x[cols] = new
+        v = np.zeros(self.std.m)
+        s = cols < n
+        v += self.std.A[:, cols[s]] @ delta[s]
+        np.add.at(v, cols[~s] - n, delta[~s])
+        self.x[self.head] -= self.binv @ v
+
+    def run(self) -> str:
+        """Dual phase 2 from a dual feasible basis: 'optimal' once the
+        freshly refactorised basis is primal feasible, 'infeasible' on an
+        unbounded dual ray."""
+        std = self.std
+        A, n = std.A, std.n
+        for _ in range(_MAX_PIVOTS_PER_COLUMN * (n + std.m + 40)):
+            head = self.head
+            xb = self.x[head]
+            below = self.lo[head] - xb
+            above = xb - self.up[head]
+            infeas = np.maximum(below, above)
+            infeas[infeas <= _FEAS_TOL] = 0.0
+            if not infeas.any():
+                if self.updates == 0:
+                    return "optimal"
+                self.refactor()
+                continue
+            r = int(np.argmax(infeas * infeas / self.w))
+            to_lower = below[r] > 0.0
+            p = int(head[r])
+
+            rho = self.binv[r]
+            alpha = np.empty(n + std.m)
+            alpha[:n] = rho @ A
+            alpha[n:] = rho
+            a = -alpha if to_lower else alpha
+            at_lo = ~self.at_up & self.finite_lo
+            cand = np.flatnonzero(
+                (self.pos < 0) & self.movable
+                & (((a > _PIVOT_TOL) & ~self.at_up) | ((a < -_PIVOT_TOL) & ~at_lo))
+            )
+            if cand.size == 0:
+                return "infeasible"
+            ac, dc = a[cand], self.d[cand]
+            ratio = np.maximum(dc / ac, 0.0)
+            order = np.argsort(ratio, kind="stable")
+            cand, ac, dc, ratio = cand[order], ac[order], dc[order], ratio[order]
+            # bound flipping: pass each boxed breakpoint while the dual
+            # objective still rises along the ray, that is while the flips
+            # leave the row infeasible by more than the tolerance
+            k = int(np.searchsorted(np.cumsum(np.abs(ac) * self.range[cand]),
+                                    infeas[r] - _FEAS_TOL))
+            if k == cand.size:
+                return "infeasible"
+            tail_a = ac[k:]
+            harris = max(((dc[k:] + np.copysign(_OPT_TOL, tail_a)) / tail_a).min(), ratio[k])
+            near = np.flatnonzero(ratio[k:] <= harris)
+            pick = k + int(near[np.argmax(np.abs(tail_a[near]))])
+            q = int(cand[pick])
+            if k:
+                self.flip(cand[:k])
+
+            if q < n:
+                rows = std.rows_of[q]
+                col = self.binv[:, rows] @ A[rows, q]
+            else:
+                col = self.binv[:, q - n].copy()
+            piv = col[r]
+            if abs(piv - alpha[q]) > 1e-7 * (1.0 + abs(piv)):
+                self.refactor()  # the updated inverse has drifted
+                continue
+
+            theta_d = ratio[pick] if not to_lower else -ratio[pick]
+            self.d -= theta_d * alpha
+            self.d[head] = 0.0
+            self.d[p] = -theta_d
+            self.d[q] = 0.0
+
+            bound = self.lo[p] if to_lower else self.up[p]
+            theta_p = (self.x[p] - bound) / piv
+            self.x[head] -= theta_p * col
+            self.x[q] += theta_p
+            self.x[p] = bound
+
+            self.at_up[p] = not to_lower
+            self.pos[p] = -1
+            self.pos[q] = r
+            head[r] = q
+
+            binv = self.binv
+            binv[r] /= piv
+            touched = np.flatnonzero(col)
+            touched = touched[touched != r]
+            if touched.size:
+                binv[touched] -= np.outer(col[touched], binv[r])
+            touched = np.append(touched, r)
+            self.w[touched] = np.einsum("ij,ij->i", binv[touched], binv[touched])
+            self.updates += 1
+            if self.updates >= _REFACTOR_EVERY:
+                self.refactor()
+        raise KernelError("dual simplex iteration guard tripped")
+
+
+def _phase1_bounds(lo: np.ndarray, up: np.ndarray):
+    """Bounds of the auxiliary problem whose optimal basis minimises the sum
+    of dual infeasibilities: boxed columns fixed at 0, one-sided ones boxed
+    to a unit interval on their open side, free ones to [-1, 1]."""
+    flo, fup = np.isfinite(lo), np.isfinite(up)
+    boxed = flo & fup
+    return (np.where(boxed | flo, 0.0, -1.0), np.where(boxed | fup, 0.0, 1.0))
+
+
+def _optimize(std: _StandardForm, lo, up, cost, head, at_upper):
+    """Dual simplex from the given basis, with a dual phase 1 when that basis
+    is not dual feasible.  Returns (status, solver) with status 'optimal',
+    'infeasible' or 'dual_infeasible' (no dual feasible basis exists, so the
+    LP is unbounded or infeasible)."""
+    sim = _DualSimplex(std, lo, up, cost, head, at_upper)
+    solved = False
+    for _ in range(_ROUNDS):
+        bad = sim.wrong_sign()
+        if not bad.any():
+            if solved:
+                return "optimal", sim
+        else:
+            boxed = bad & np.isfinite(sim.range)
+            if boxed.any():
+                sim.flip(np.flatnonzero(boxed))
+            if (bad & ~boxed).any():
+                alo, aup = _phase1_bounds(lo, up)
+                aux = _DualSimplex(std, alo, aup, cost, sim.head, sim.at_up)
+                aux.flip(np.flatnonzero(aux.wrong_sign()))
+                if aux.run() != "optimal":
+                    raise KernelError("dual phase 1 must reach an optimum")
+                sim = _DualSimplex(std, lo, up, cost, aux.head, aux.d < 0.0)
+                bad = sim.wrong_sign()
+                if (bad & ~np.isfinite(sim.range)).any():
+                    return "dual_infeasible", None
+                sim.flip(np.flatnonzero(bad))
+        if sim.run() == "infeasible":
+            return "infeasible", None
+        solved = True
+    raise KernelError("dual simplex did not settle on a dual feasible optimum")
+
+
+def solve_lp(model: Model, overrides: dict[int, tuple[float, float]] | None = None,
+             basis: LpBasis | None = None) -> LpSolution:
+    """Solve the continuous relaxation (all kinds treated as continuous).
+
+    ``overrides`` tightens variable bounds.  ``basis`` warm-starts the dual
+    simplex from an earlier solution's basis, typically the parent's in
+    branch and bound, where tightening a bound keeps it dual feasible.
+    """
+    if model._std is None:
+        model._std = _StandardForm(model)
+    std = model._std
+    n, m = std.n, std.m
+    lo, up = std.lo.copy(), std.up.copy()
     if overrides:
         for vid, (l, u) in overrides.items():
             lo[vid] = max(lo[vid], l)
-            hi[vid] = min(hi[vid], u)
-    if np.any(lo > hi + 1e-12):
-        return "infeasible", {}, INF, {}, {}
-
-    fixed_val = {}
-    live: list[int] = []
-    for vid in range(n):
-        if hi[vid] - lo[vid] <= 1e-12:
-            fixed_val[vid] = lo[vid]
-        else:
-            live.append(vid)
-    col_of = {vid: k for k, vid in enumerate(live)}
-    nlive = len(live)
-
-    c_live = np.zeros(nlive)
-    const = model.obj_offset
-    for vid, coeff in model.obj.items():
-        if vid in fixed_val:
-            const += coeff * fixed_val[vid]
-        else:
-            const += coeff * lo[vid]
-            c_live[col_of[vid]] += coeff
-
-    # rows: original constraints with fixed/lower-shift folded into the rhs,
-    # then one bound row per live variable with a finite upper bound
-    rows = []          # (cols, vals, sense, rhs, tag) ; tag >= 0 is an original row
-    for idx, con in enumerate(model.cons):
-        rhs = con.rhs
-        cols, vals = [], []
-        for vid, coeff in con.terms:
-            if vid in fixed_val:
-                rhs -= coeff * fixed_val[vid]
-            else:
-                rhs -= coeff * lo[vid]
-                cols.append(col_of[vid])
-                vals.append(coeff)
-        rows.append((cols, vals, con.sense, rhs, idx))
-    for vid in live:
-        if hi[vid] < INF:
-            rows.append(([col_of[vid]], [1.0], LE, hi[vid] - lo[vid], -1))
-
-    m = len(rows)
-    n_slack = sum(1 for r in rows if r[2] in (LE, GE))
-    sign = np.ones(m)
-    A = np.zeros((m, nlive + n_slack))
-    b = np.zeros(m)
-    senses = []
-    slack_at = 0
-    basis_plan: list[int | None] = []
-    for r, (cols, vals, sense, rhs, _tag) in enumerate(rows):
-        flip = rhs < 0
-        if flip:
-            sign[r] = -1.0
-            rhs = -rhs
-            vals = [-v for v in vals]
-            sense = {LE: GE, GE: LE, EQ: EQ}[sense]
-        A[r, cols] = vals
-        b[r] = rhs
-        senses.append(sense)
-        if sense == LE:
-            A[r, nlive + slack_at] = 1.0
-            basis_plan.append(nlive + slack_at)
-            slack_at += 1
-        elif sense == GE:
-            A[r, nlive + slack_at] = -1.0
-            basis_plan.append(None)
-            slack_at += 1
-        else:
-            basis_plan.append(None)
-
-    art_rows = [r for r in range(m) if basis_plan[r] is None]
-    ncols = A.shape[1]
-    keep_rows = list(range(m))
-    if art_rows:
-        Aart = np.zeros((m, ncols + len(art_rows)))
-        Aart[:, :ncols] = A
-        basis = []
-        art_cols = set()
-        for k, r in enumerate(art_rows):
-            Aart[r, ncols + k] = 1.0
-            art_cols.add(ncols + k)
-        for r in range(m):
-            basis.append(basis_plan[r] if basis_plan[r] is not None else ncols + art_rows.index(r))
-        T = np.hstack([Aart, b.reshape(-1, 1)])
-        c1 = np.zeros(Aart.shape[1])
-        for col in art_cols:
-            c1[col] = 1.0
-        status = _run_simplex(T, basis, c1, allowed=10 * (m + Aart.shape[1]))
-        if status != "optimal":
-            raise KernelError("phase-1 objective cannot be unbounded")
-        if c1[basis] @ T[:, -1] > _FEAS_TOL:
-            return "infeasible", {}, INF, {}, {}
-        # drive leftover artificials out of the basis; a row that only the
-        # artificial can represent is redundant and dropped
-        drop = []
-        for r in range(m):
-            if basis[r] in art_cols:
-                piv_cols = np.flatnonzero(np.abs(T[r, :ncols]) > 1e-8)
-                if piv_cols.size:
-                    _pivot(T, r, int(piv_cols[0]))
-                    basis[r] = int(piv_cols[0])
-                else:
-                    drop.append(r)
-        if drop:
-            keep = [r for r in range(m) if r not in set(drop)]
-            T = T[keep]
-            basis = [basis[r] for r in keep]
-            keep_rows = [keep_rows[r] for r in keep]
-        T = np.hstack([T[:, :ncols], T[:, [-1]]])
+            up[vid] = min(up[vid], u)
+    if np.any(lo > up + 1e-12):
+        return LpSolution("infeasible", {}, INF, {}, {})
+    up = np.maximum(up, lo)
+    at_upper = np.zeros(n + m, dtype=bool)
+    if basis is None:
+        head = np.arange(n, n + m)
     else:
-        basis = [bp for bp in basis_plan]  # all rows start on slacks
-        T = np.hstack([A, b.reshape(-1, 1)])
+        head = basis.head
+        at_upper[basis.at_upper] = True
 
-    c2 = np.zeros(ncols)
-    c2[:nlive] = c_live
-    status = _run_simplex(T, basis, c2, allowed=10 * (len(basis) + ncols))
-    if status == "unbounded":
-        return "unbounded", {}, -INF, {}, {}
-
-    xwork = np.zeros(ncols)
-    xwork[basis] = T[:, -1]
-    values = {}
-    for vid in range(n):
-        if vid in fixed_val:
-            values[vid] = float(fixed_val[vid])
-        else:
-            values[vid] = float(lo[vid] + xwork[col_of[vid]])
-    objective = float(c2 @ xwork + const)
-
-    # duals from the final basis: solve B^T y = c_B on the phase-2 matrix
-    A2 = A[keep_rows] if len(keep_rows) != m else A
-    B = A2[:, basis]
-    try:
-        y = np.linalg.solve(B.T, c2[basis])
-    except np.linalg.LinAlgError:
-        y = np.linalg.lstsq(B.T, c2[basis], rcond=None)[0]
-    duals = {idx: 0.0 for idx in range(model.num_constraints)}
-    for pos, r in enumerate(keep_rows):
-        tag = rows[r][4]
-        if tag >= 0:
-            duals[tag] = float(sign[r] * y[pos])
-    red_all = c2 - y @ A2
-    reduced = {}
-    for vid in range(n):
-        reduced[vid] = float(red_all[col_of[vid]]) if vid in col_of else 0.0
-    return "optimal", values, objective, duals, reduced
-
-
-def solve_lp(model: Model, overrides: dict[int, tuple[float, float]] | None = None) -> LpSolution:
-    """Solve the continuous relaxation (all kinds treated as continuous)."""
-    status, values, obj, duals, reduced = _solve_lp_arrays(model, overrides)
-    return LpSolution(status=status, values=values, objective=obj, duals=duals,
-                      reduced_costs=reduced)
+    status, sim = _optimize(std, lo, up, std.c, head, at_upper)
+    if status == "dual_infeasible":
+        status, _ = _optimize(std, lo, up, np.zeros(n + m), head, at_upper)
+        if status == "optimal":
+            return LpSolution("unbounded", {}, -INF, {}, {})
+    if status != "optimal":
+        return LpSolution("infeasible", {}, INF, {}, {})
+    x = sim.x[:n]
+    return LpSolution(
+        status="optimal",
+        values=dict(enumerate(x.tolist())),
+        objective=float(std.c[:n] @ x + std.offset),
+        duals=dict(enumerate(sim.y.tolist())),
+        reduced_costs=dict(enumerate(sim.d[:n].tolist())),
+        basis=LpBasis(sim.head.copy(), np.flatnonzero(sim.at_up & (sim.pos < 0))),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +501,9 @@ def _fractional_binaries(model: Model, values: dict[int, float]):
 
 def solve_mip(model: Model, limits: MipLimits | None = None) -> MipSolution:
     """Best-first branch and bound, branching on the most fractional binary
-    (ties toward the lowest variable id).  Deterministic for a fixed model."""
+    (ties toward the lowest variable id).  An open node keeps only its
+    parent's LP basis, from which each child's LP is re-optimised.
+    Deterministic for a fixed model."""
     limits = limits or MipLimits()
     t0 = time.monotonic()
 
@@ -444,7 +536,7 @@ def solve_mip(model: Model, limits: MipLimits | None = None) -> MipSolution:
                 incumbent = dict(lp.values)
             return
         branch_var = min(frac, key=lambda t: (abs(t[1] - 0.5), t[0]))[0]
-        heapq.heappush(heap, (lp.objective, seq, overrides, branch_var))
+        heapq.heappush(heap, (lp.objective, seq, overrides, branch_var, lp.basis))
         seq += 1
 
     consider(root, {})
@@ -470,13 +562,13 @@ def solve_mip(model: Model, limits: MipLimits | None = None) -> MipSolution:
             break
         if incumbent is not None and gap_now() <= limits.gap_tol:
             break
-        bound, _, overrides, branch_var = heapq.heappop(heap)
+        bound, _, overrides, branch_var, basis = heapq.heappop(heap)
         if bound >= inc_obj - 1e-9:
             continue  # best-first: nothing below the incumbent remains
         for fix in (0.0, 1.0):
             child = dict(overrides)
             child[branch_var] = (fix, fix)
-            lp = solve_lp(model, child)
+            lp = solve_lp(model, child, basis=basis)
             nodes_solved += 1
             if lp.status == "optimal" and lp.objective < inc_obj - 1e-9:
                 consider(lp, child)

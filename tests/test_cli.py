@@ -6,8 +6,9 @@ from pathlib import Path
 import pytest
 
 from chargeplan.cli import main
-from chargeplan.evcec import load_solution
-from chargeplan.instance import load
+from chargeplan.evcec import load_solution, objective_value
+from chargeplan.heuristic import best_greedy, local_search
+from chargeplan.instance import load, with_queue
 from chargeplan.report import parse_csv
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -84,6 +85,19 @@ class TestSolve:
         rows = parse_csv(stdout)
         assert len(rows) == 1 and rows[0]["algo"] == "heuristic"
         assert rows[0]["service_ok"] == "yes"
+
+    def test_heuristic_closes_with_local_search(self, tmp_path):
+        path = tmp_path / "medium.json"
+        assert run_cli(["generate", "--preset", "medium", "--seed", "0",
+                        "--out", str(path)])[0] == 0
+        code, stdout = run_cli(["solve", "--algo", "heuristic", "--instance", str(path),
+                                "--b", "1"])
+        assert code == 0
+        inst = with_queue(load(path), b=1)
+        start = best_greedy(inst)
+        z = float(parse_csv(stdout)[0]["z"])  # printed to 6 significant digits
+        assert z == pytest.approx(objective_value(inst, local_search(inst, start)), rel=1e-5)
+        assert z <= objective_value(inst, start)
 
     def test_approx_row_has_bound_and_gap(self, tiny_file):
         code, stdout = run_cli(["solve", "--algo", "approx",

@@ -12,6 +12,8 @@ from chargeplan.milp import (
     GE,
     INF,
     LE,
+    KernelError,
+    LpBasis,
     MipLimits,
     Model,
     ModelError,
@@ -338,3 +340,196 @@ class TestSolveMip:
         a = solve_mip(m)
         b = solve_mip(m)
         assert a.objective == b.objective and a.values == b.values and a.nodes == b.nodes
+
+
+def random_lp(rng, n, m):
+    """A random LP with nonzero lower bounds, finite, infinite and free
+    bounds, all three senses and right-hand sides of either sign.  Most rows
+    hold at a point inside the bounds; some are pushed past it, so a share of
+    the LPs is infeasible, and negative costs on unbounded variables make a
+    share unbounded."""
+    model = Model()
+    point = []
+    for _ in range(n):
+        kind = rng.random()
+        if kind < 0.1:
+            lo, up = -INF, INF
+        elif kind < 0.2:
+            lo, up = -INF, rng.uniform(-3, 3)
+        else:
+            lo = rng.choice([0.0, rng.uniform(-3, 3)])
+            up = rng.choice([INF, lo + rng.uniform(0.5, 4)])
+        model.add_var(lower=lo, upper=up)
+        anchor = lo if lo > -INF else (up if up < INF else 0.0)
+        point.append(anchor + (0.4 if up - anchor > 0 else -0.4) * rng.random())
+    for _ in range(m):
+        coeffs = [rng.uniform(-2, 2) if rng.random() < 0.7 else 0.0 for _ in range(n)]
+        activity = sum(c * v for c, v in zip(coeffs, point))
+        sense = rng.choice([LE, GE, EQ])
+        slack = rng.uniform(0, 1) if rng.random() < 0.85 else -rng.uniform(0.5, 3)
+        rhs = {LE: activity + slack, GE: activity - slack, EQ: activity}[sense]
+        model.add_constraint([(j, c) for j, c in enumerate(coeffs)], sense, rhs)
+    model.set_objective([(j, rng.uniform(-1, 2)) for j in range(n)], offset=rng.uniform(-5, 5))
+    return model
+
+
+def random_mip(rng):
+    """A small bounded model mixing binaries and boxed continuous variables."""
+    model = Model()
+    nb, nc = rng.randint(3, 7), rng.randint(1, 3)
+    xs = [model.add_binary() for _ in range(nb)]
+    xs += [model.add_var(lower=rng.uniform(-1, 0), upper=rng.uniform(1, 3)) for _ in range(nc)]
+    for _ in range(rng.randint(2, 5)):
+        coeffs = [rng.uniform(-2, 3) for _ in xs]
+        sense = rng.choice([LE, GE, EQ]) if rng.random() < 0.3 else rng.choice([LE, GE])
+        model.add_constraint(list(zip(xs, coeffs)), sense, sum(coeffs) * rng.uniform(0.2, 0.7))
+    model.set_objective([(x, rng.uniform(-3, 3)) for x in xs])
+    return model
+
+
+def dense_rows(model):
+    """(A, lower, upper) row activity limits of a model, for scipy."""
+    A = np.zeros((model.num_constraints, model.num_vars))
+    lo = np.full(model.num_constraints, -np.inf)
+    up = np.full(model.num_constraints, np.inf)
+    for i, con in enumerate(model.cons):
+        for vid, coeff in con.terms:
+            A[i, vid] = coeff
+        if con.sense in (GE, EQ):
+            lo[i] = con.rhs
+        if con.sense in (LE, EQ):
+            up[i] = con.rhs
+    return A, lo, up
+
+
+def cost_vector(model):
+    c = np.zeros(model.num_vars)
+    for vid, coeff in model.obj.items():
+        c[vid] = coeff
+    return c
+
+
+class TestKernelFailures:
+    def test_duplicated_and_redundant_equality_rows(self):
+        m = Model()
+        xs = [m.add_var() for _ in range(3)]
+        total = [(x, 1.0) for x in xs]
+        rows = [
+            m.add_constraint(total, EQ, 3.0),
+            m.add_constraint(total, EQ, 3.0),                      # duplicate
+            m.add_constraint([(x, 2.0) for x in xs], EQ, 6.0),     # scaled copy
+            m.add_constraint([(xs[0], 1.0), (xs[1], -1.0)], EQ, 1.0),
+            m.add_constraint([(xs[1], 1.0), (xs[2], 1.0)], GE, 1.0),
+        ]
+        m.set_objective([(xs[0], 1.0), (xs[1], 2.0), (xs[2], 3.0)], offset=1.5)
+        sol = solve_lp(m)
+        assert sol.status == "optimal"
+        assert sol.objective == pytest.approx(5.5, abs=1e-9)
+        assert [sol.values[x] for x in xs] == pytest.approx([2.0, 1.0, 0.0], abs=1e-9)
+        for idx in rows:
+            con = m.cons[idx]
+            lhs = sum(coef * sol.values[vid] for vid, coef in con.terms)
+            assert abs(sol.duals[idx] * (lhs - con.rhs)) <= 1e-9
+        assert sol.duals[rows[4]] >= -1e-9
+        for x in xs:  # every variable is [0, inf): reduced costs >= 0, zero when positive
+            assert sol.reduced_costs[x] >= -1e-9
+            assert abs(sol.reduced_costs[x] * sol.values[x]) <= 1e-9
+        dual_obj = sum(sol.duals[idx] * m.cons[idx].rhs for idx in rows) + 1.5
+        assert dual_obj == pytest.approx(sol.objective, abs=1e-9)
+
+    def test_singular_warm_basis_raises(self):
+        m = Model()
+        x, y = m.add_var(), m.add_var()
+        m.add_constraint([(x, 1.0), (y, 1.0)], LE, 4.0)
+        m.add_constraint([(x, 2.0), (y, 2.0)], LE, 8.0)
+        m.set_objective([(x, -1.0), (y, -1.0)])
+        with pytest.raises(KernelError):
+            solve_lp(m, basis=LpBasis(head=np.array([x, y]), at_upper=np.array([], dtype=int)))
+
+    def test_iteration_guard_raises(self, monkeypatch):
+        monkeypatch.setattr(milp, "_MAX_PIVOTS_PER_COLUMN", 0)
+        m = Model()
+        x = m.add_var()
+        m.add_constraint([(x, 1.0)], GE, 3.0)
+        m.set_objective([(x, 1.0)])
+        with pytest.raises(KernelError):
+            solve_lp(m)
+
+
+class TestAgainstHighs:
+    def test_random_lps_match_linprog(self):
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = random.Random(4242)
+        statuses = {0: "optimal", 2: "infeasible", 3: "unbounded"}
+        seen = set()
+        for trial in range(120):
+            m = random_lp(rng, rng.randint(2, 8), rng.randint(1, 6))
+            A, lo, up = dense_rows(m)
+            le, ge, eq = np.isinf(lo), np.isinf(up), lo == up
+            res = optimize.linprog(
+                cost_vector(m),
+                A_ub=np.vstack([A[le], -A[ge]]), b_ub=np.concatenate([up[le], -lo[ge]]),
+                A_eq=A[eq] if eq.any() else None, b_eq=lo[eq] if eq.any() else None,
+                bounds=[(None if v.lower == -INF else v.lower, None if v.upper == INF else v.upper)
+                        for v in m.vars],
+                method="highs",
+            )
+            sol = solve_lp(m)
+            assert sol.status == statuses[res.status], f"trial {trial}"
+            seen.add(sol.status)
+            if sol.status == "optimal":
+                assert sol.objective == pytest.approx(res.fun + m.obj_offset, rel=1e-7, abs=1e-7)
+                x = np.array([sol.values[j] for j in range(m.num_vars)])
+                act = A @ x
+                assert np.all(act >= lo - 1e-7) and np.all(act <= up + 1e-7), f"trial {trial}"
+        assert seen == {"optimal", "infeasible", "unbounded"}
+
+    def test_random_mips_match_milp(self):
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = random.Random(777)
+        for trial in range(40):
+            m = random_mip(rng)
+            A, lo, up = dense_rows(m)
+            res = optimize.milp(
+                cost_vector(m),
+                integrality=[1 if v.kind == BINARY else 0 for v in m.vars],
+                bounds=optimize.Bounds([v.lower for v in m.vars], [v.upper for v in m.vars]),
+                constraints=optimize.LinearConstraint(A, lo, up),
+            )
+            sol = solve_mip(m)
+            if res.status == 2:
+                assert sol.status == "infeasible", f"trial {trial}"
+                continue
+            assert res.status == 0
+            assert sol.status == "optimal", f"trial {trial}"
+            # HiGHS accepts integrality violations up to 1e-6
+            assert sol.objective == pytest.approx(res.fun, rel=1e-6, abs=1e-5), f"trial {trial}"
+
+
+class TestWarmStart:
+    def test_children_from_parent_basis_match_cold_solves(self):
+        rng = random.Random(31)
+        checked = 0
+        for _ in range(15):
+            m = random_mip(rng)
+            root = solve_lp(m)
+            if root.status != "optimal":
+                continue
+            level = [({}, root)]
+            for _depth in range(2):
+                below = []
+                for overrides, parent in level:
+                    for vid in m.binary_ids:
+                        if vid in overrides:
+                            continue
+                        for fix in (0.0, 1.0):
+                            child = {**overrides, vid: (fix, fix)}
+                            warm = solve_lp(m, child, basis=parent.basis)
+                            cold = solve_lp(m, child)
+                            assert warm.status == cold.status
+                            checked += 1
+                            if warm.status == "optimal":
+                                assert warm.objective == pytest.approx(cold.objective, abs=1e-7)
+                                below.append((child, warm))
+                level = below[:6]
+        assert checked > 100
