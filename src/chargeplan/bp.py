@@ -21,16 +21,23 @@ aggregate), then aggregated post counts when the open pattern is integral but
 post profiles still mix.  Fixings propagate along the tree through the
 monotonicity rows and are enforced inside pricing, so the pricing structure
 never changes shape.
+
+The tree search is ``milp.best_first``, the same search branch and bound
+uses; ``branch_and_price`` only supplies the node expansion.  A master bound
+holds only while pricing is exact, so a node whose column generation stops at
+a limit without branching (or a root-only cut) hands its last certified
+bound to the search as the floor of its unsearched subtree.  Plans come from
+one source: the greedy plus local search at the start, and at each node the
+primal repair of the master and its decoded aggregate.  Every plan passes
+``check_feasible`` before it counts.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import time
 from dataclasses import dataclass, field
 
-from .approx import approximate
 from .evcec import (
     Deployment,
     _add_scenario_rows,
@@ -46,7 +53,7 @@ from .heuristic import (
     local_search,
 )
 from .instance import Instance, attraction_matrix, coverage_sets, rho_table_for
-from .milp import BINARY, EQ, GE, LE, MipLimits, Model, solve_lp, solve_mip
+from .milp import BINARY, EQ, GE, LE, MipLimits, Model, best_first, solve_lp, solve_mip
 
 PENALTY_COST = 1e7   # linking-row slack and artificial-column price
 RC_TOL = 1e-6        # a column must beat its convexity dual by this much
@@ -635,82 +642,30 @@ def _decode_aggregate(inst: Instance, rmp: RmpSolution) -> Deployment:
 
 
 def branch_and_price(inst: Instance, limits: BpLimits | None = None) -> BpResult:
-    """Best-first branch-and-price; exact on converged trees, honest bound and
-    gap when a limit interrupts."""
+    """Best-first branch-and-price: ``milp.best_first`` over branch nodes,
+    each expanded by column generation under its fixings (see the module
+    docstring for the floors and the plans it hands the search)."""
     limits = limits or BpLimits()
     t0 = time.monotonic()
     deadline = None if limits.time_limit_s is None else t0 + limits.time_limit_s
     coeffs = cost_coefficients(inst)
-    stats = {
-        "branch_nodes": 0,
-        "cg_rounds": 0,
-        "columns": 0,
-        "incumbent_updates": 0,
-        "log": [],
-    }
-
+    stats = {"branch_nodes": 0, "cg_rounds": 0, "columns": 0, "log": []}
     pool: list[Column] = []
     seen = set()
 
-    def add_cols(cols):
-        for c in cols:
+    def audited(dep: Deployment | None) -> list:
+        """[(objective, plan)] for a plan that passes the audit, with its
+        columns added to the pool; [] otherwise."""
+        if dep is None or not check_feasible(inst, dep).feasible:
+            return []
+        for c in columns_from_deployment(inst, coeffs, dep):
             if c.key() not in seen:
                 seen.add(c.key())
                 pool.append(c)
                 stats["columns"] += 1
+        return [(objective_value(inst, dep), dep)]
 
-    incumbent: Deployment | None = None
-    inc_obj = math.inf
-
-    def offer(dep: Deployment | None):
-        nonlocal incumbent, inc_obj
-        if dep is None or not check_feasible(inst, dep).feasible:
-            return
-        add_cols(columns_from_deployment(inst, coeffs, dep))
-        obj = objective_value(inst, dep)
-        if obj < inc_obj - 1e-9:
-            incumbent, inc_obj = dep, obj
-            stats["incumbent_updates"] += 1
-
-    try:
-        offer(local_search(inst, best_greedy(inst)))
-    except InfeasibleInstanceError:
-        pass
-    approx_limits = MipLimits(
-        time_limit_s=None if limits.time_limit_s is None else limits.time_limit_s / 4
-    )
-    approx_res = approximate(inst, approx_limits)
-    if approx_res.deployment is not None:
-        offer(approx_res.deployment)
-
-    counter = 0
-    heap: list = []
-    heapq.heappush(heap, (-math.inf, counter, BranchNode(Fixings(), -math.inf, 0)))
-    counter += 1
-    proven = True      # falsified whenever the search is cut short
-    root_bound = -math.inf
-
-    while heap:
-        if deadline is not None and time.monotonic() > deadline:
-            proven = False
-            break
-        if limits.node_limit is not None and stats["branch_nodes"] >= limits.node_limit:
-            proven = False
-            break
-        node_bound, _, bnode = heapq.heappop(heap)
-        if node_bound >= inc_obj - 1e-9:
-            heap.clear()   # best-first: every open node is at least as expensive
-            break
-        if (inc_obj < math.inf and node_bound > -math.inf
-                and (inc_obj - node_bound) <= limits.gap_tol * abs(inc_obj)):
-            # incumbent already within the requested gap: report the honest
-            # bound but count the search as finished
-            stats["time_s"] = time.monotonic() - t0
-            gap = (inc_obj - node_bound) / inc_obj if inc_obj > 0 else 0.0
-            return BpResult("optimal", incumbent, inc_obj, node_bound, gap, stats)
-        if not bnode.fixings.consistent():
-            continue
-        stats["branch_nodes"] += 1
+    def expand(bnode: BranchNode, best: float):
         cg = column_generation(inst, coeffs, pool, bnode.fixings, limits, deadline)
         seen.update(c.key() for c in cg.new_columns)
         stats["columns"] += len(cg.new_columns)
@@ -720,51 +675,38 @@ def branch_and_price(inst: Instance, limits: BpLimits | None = None) -> BpResult
              "cg": cg.iterations, "status": cg.status}
         )
         if cg.status == "infeasible":
-            continue
+            return [], [], math.inf
         node_lb = max(bnode.parent_bound, cg.exact_lb)
         if cg.status == "converged":
             node_lb = max(node_lb, cg.lp_value)
-        else:
-            proven = False  # this subtree's bound never certified
-        if bnode.depth == 0:
-            root_bound = node_lb
-        if node_lb >= inc_obj - 1e-9:
-            continue
-        offer(primal_repair(inst, cg.rmp))
+        if node_lb >= best - 1e-9:
+            return [], [], math.inf
+        plans = audited(primal_repair(inst, cg.rmp))
         choice = _select_branching(inst, cg.rmp)
         if choice is None:
-            # pure per-node column selection: the aggregate IS the node's optimum
-            offer(_decode_aggregate(inst, cg.rmp))
+            # pure per-node column selection: the aggregate IS the node's
+            # optimum once column generation has converged
+            found = audited(_decode_aggregate(inst, cg.rmp))
+            floor = math.inf if cg.status == "converged" and found else node_lb
+            return [], plans + found, floor
+        if limits.root_only:
+            return [], plans, node_lb
+        kind, n, j, split = choice
+        if kind == "x":
+            left, right = _branch_on_x(inst, bnode.fixings, n, j)
         else:
-            kind, n, j, split = choice
-            if kind == "x":
-                left, right = _branch_on_x(inst, bnode.fixings, n, j)
-            else:
-                left, right = _branch_on_posts(inst, bnode.fixings, n, j, split)
-            for child_fix in (left, right):
-                heapq.heappush(
-                    heap,
-                    (node_lb, counter, BranchNode(child_fix, node_lb, bnode.depth + 1)),
-                )
-                counter += 1
-        if limits.root_only:
-            proven = False
-            heap.clear()
-            break
+            left, right = _branch_on_posts(inst, bnode.fixings, n, j, split)
+        children = [(node_lb, BranchNode(fix, node_lb, bnode.depth + 1))
+                    for fix in (left, right) if fix.consistent()]
+        return children, plans, math.inf
 
-    if proven:
-        bound = inc_obj
-    else:
-        open_bounds = [entry[0] for entry in heap]
-        if limits.root_only:
-            open_bounds.append(root_bound)
-        bound = min(open_bounds) if open_bounds else inc_obj
-        bound = min(bound, inc_obj)
+    try:
+        plans = audited(local_search(inst, best_greedy(inst)))
+    except InfeasibleInstanceError:
+        plans = []
+    root = BranchNode(Fixings(), -math.inf, 0)
+    res = best_first([(-math.inf, root)], plans, expand, deadline, limits.gap_tol,
+                     limits.node_limit)
+    stats["branch_nodes"] = res.nodes
     stats["time_s"] = time.monotonic() - t0
-    if incumbent is None:
-        status = "infeasible" if proven else "time_limit"
-        return BpResult(status, None, math.inf, bound, math.inf, stats)
-    if proven:
-        return BpResult("optimal", incumbent, inc_obj, inc_obj, 0.0, stats)
-    gap = (inc_obj - bound) / inc_obj if inc_obj > 0 and bound > -math.inf else math.inf
-    return BpResult("feasible", incumbent, inc_obj, bound, gap, stats)
+    return BpResult(res.status, res.plan, res.objective, res.bound, res.gap, stats)

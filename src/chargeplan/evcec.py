@@ -46,12 +46,6 @@ class Deployment:
     def is_open(self, n: int, j: int) -> bool:
         return self.open[n][j]
 
-    def posts_at(self, n: int, j: int) -> int:
-        return self.posts[n][j]
-
-    def open_count(self, n: int) -> int:
-        return sum(1 for v in self.open[n] if v)
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -84,11 +78,6 @@ def logit_probabilities(inst: Instance, open_flags, n: int, i: int) -> dict[int,
     if denom <= 0.0:
         raise CoverageError(f"zone {i} has no open covering station at node {n}")
     return {j: (attr[i][j] / denom if open_flags[j] else 0.0) for j in near}
-
-
-def demand_rate(inst: Instance, deployment: Deployment, n: int, j: int) -> float:
-    """Arrival rate at station j, node n, under the deployment's open pattern."""
-    return station_rates(inst, deployment.open[n], n)[j]
 
 
 def station_rates(inst: Instance, open_flags, n: int) -> tuple[float, ...]:

@@ -1,16 +1,17 @@
 """Embedded LP/MIP kernel.
 
-A solver-agnostic model container plus a bounded dual simplex (with dual and
-reduced-cost extraction) and a best-first branch-and-bound over binary
-variables.  Variable bounds stay implicit: a nonbasic variable rests at its
-lower or upper bound, and each row's sense lives in the bounds of its logical
-variable.  The standard form is built once per model; branch-and-bound
-children re-optimise from their parent's basis, which a bound fix leaves dual
-feasible, so only the root LP starts from the all-logical basis.  Dense
-arrays are deliberate: every model this package solves is desk scale, and a
-self-contained kernel keeps results reproducible.  The narrow ``solve_lp`` /
-``solve_mip`` surface lets an external solver be adapted in later without
-touching callers.
+A solver-agnostic model container, a bounded dual simplex (with dual and
+reduced-cost extraction), and ``best_first``: the one best-first search that
+drives both the branch and bound here and branch-and-price in ``bp``, with a
+bound that a time, node or round limit never lifts above the optimum.
+Variable bounds stay implicit: a nonbasic variable rests at its lower or upper
+bound, and each row's sense lives in the bounds of its logical variable.  The
+standard form is built once per model; branch-and-bound children re-optimise
+from their parent's basis, which a bound fix leaves dual feasible, so only the
+root LP starts from the all-logical basis.  Dense arrays are deliberate: every
+model this package solves is desk scale, and a self-contained kernel keeps
+results reproducible.  The narrow ``solve_lp`` / ``solve_mip`` surface lets an
+external solver be adapted in later without touching callers.
 
 Dual sign convention for minimization: duals are shadow prices d(objective)/
 d(rhs), so >= rows get nonnegative duals, <= rows nonpositive, = rows free.
@@ -18,6 +19,8 @@ d(rhs), so >= rows get nonnegative duals, <= rows nonpositive, = rows free.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -132,25 +135,6 @@ class Model:
     def num_binaries(self) -> int:
         return sum(1 for v in self.vars if v.kind == BINARY)
 
-    def dump_lp(self) -> str:
-        """Human-readable LP-style text for debugging; write-only, never parsed."""
-        out = [f"\\ model {self.name}", "Minimize", " obj:"]
-        parts = [f" {c:+g} {self.vars[v].name}" for v, c in sorted(self.obj.items())]
-        if self.obj_offset:
-            parts.append(f" {self.obj_offset:+g}")
-        out.append("  " + "".join(parts))
-        out.append("Subject To")
-        for con in self.cons:
-            row = "".join(f" {c:+g} {self.vars[v].name}" for v, c in con.terms)
-            out.append(f" {con.name}: {row} {con.sense} {con.rhs:g}")
-        out.append("Bounds")
-        for v in self.vars:
-            out.append(f" {v.lower:g} <= {v.name} <= {v.upper:g}")
-        out.append("Binaries")
-        out.append(" " + " ".join(self.vars[v].name for v in self.binary_ids))
-        out.append("End")
-        return "\n".join(out)
-
 
 @dataclass
 class LpSolution:
@@ -164,7 +148,9 @@ class LpSolution:
 
 @dataclass
 class MipSolution:
-    status: str                    # optimal | feasible | infeasible | time_limit
+    # optimal: gap within gap_tol; feasible: an incumbent without that proof;
+    # time_limit: cut short without an incumbent; infeasible: proven
+    status: str
     values: dict[int, float]
     objective: float
     bound: float
@@ -487,6 +473,89 @@ def solve_lp(model: Model, overrides: dict[int, tuple[float, float]] | None = No
 
 
 # ---------------------------------------------------------------------------
+# Best-first search
+
+
+@dataclass
+class SearchResult:
+    status: str                    # optimal | feasible | infeasible | time_limit
+    plan: object                   # the incumbent, None without one
+    objective: float
+    bound: float
+    gap: float
+    nodes: int                     # nodes expanded
+
+
+def _gap(objective: float, bound: float) -> float:
+    if bound >= objective:
+        return 0.0
+    if objective == INF:
+        return INF
+    return (objective - bound) / max(abs(objective), 1e-9)
+
+
+def best_first(nodes, plans, expand, deadline: float | None = None, gap_tol: float = 1e-6,
+               node_limit: int | None = None) -> SearchResult:
+    """Best-first search over open nodes, shared by branch and bound and
+    branch and price.
+
+    ``nodes`` are (bound, node) pairs and ``plans`` are (objective, plan)
+    pairs.  ``expand(node, objective)`` gets the incumbent objective and
+    returns (children, plans, floor): floor is a lower bound on any part of
+    the node's subtree that it left unsearched, INF when none.  The open node
+    with the lowest bound goes first, ties in push order, and a node that
+    cannot beat the incumbent by 1e-9 is dropped.  The search stops when no
+    node is left, when the gap closes to ``gap_tol``, at ``deadline`` (on the
+    ``time.monotonic`` clock) or after ``node_limit`` expansions.
+
+    The bound is min(incumbent, every floor, every open node).  The status is
+    'optimal' only when the gap is within ``gap_tol``; otherwise 'feasible'
+    with an incumbent, 'time_limit' when the search was cut short (or left a
+    floor) without one, and 'infeasible' when it finished without one.
+    """
+    heap: list = []
+    seq = itertools.count()
+    best, best_plan = INF, None
+    floor = INF
+    expanded = 0
+
+    def take(new_nodes, new_plans) -> None:
+        nonlocal best, best_plan
+        for objective, plan in new_plans:
+            if objective < best - 1e-9:
+                best, best_plan = objective, plan
+        for bound, node in new_nodes:
+            if bound < best - 1e-9:
+                heapq.heappush(heap, (bound, next(seq), node))
+
+    take(nodes, plans)
+    cut = False
+    while heap:
+        if _gap(best, min(floor, heap[0][0])) <= gap_tol:
+            break
+        if ((deadline is not None and time.monotonic() > deadline)
+                or (node_limit is not None and expanded >= node_limit)):
+            cut = True
+            break
+        bound, _, node = heapq.heappop(heap)
+        if bound >= best - 1e-9:
+            heap.clear()  # best-first: no open node can beat the incumbent
+            break
+        children, new_plans, node_floor = expand(node, best)
+        expanded += 1
+        floor = min(floor, node_floor)
+        take(children, new_plans)
+
+    bound = min(best, floor, heap[0][0] if heap else INF)
+    gap = _gap(best, bound)
+    if best_plan is None:
+        status = "time_limit" if cut or floor < INF else "infeasible"
+    else:
+        status = "optimal" if gap <= gap_tol else "feasible"
+    return SearchResult(status, best_plan, best, bound, gap, expanded)
+
+
+# ---------------------------------------------------------------------------
 # Branch and bound
 
 
@@ -500,87 +569,45 @@ def _fractional_binaries(model: Model, values: dict[int, float]):
 
 
 def solve_mip(model: Model, limits: MipLimits | None = None) -> MipSolution:
-    """Best-first branch and bound, branching on the most fractional binary
-    (ties toward the lowest variable id).  An open node keeps only its
-    parent's LP basis, from which each child's LP is re-optimised.
-    Deterministic for a fixed model."""
+    """Best-first branch and bound on ``best_first``, branching on the most
+    fractional binary (ties toward the lowest variable id).  Both children of
+    a node are solved when it is expanded, each re-optimised from the
+    parent's LP basis, so an open node carries its own LP objective and
+    keeps only that basis.  Deterministic for a fixed model."""
     limits = limits or MipLimits()
-    t0 = time.monotonic()
+    deadline = None if limits.time_limit_s is None else time.monotonic() + limits.time_limit_s
+    lp_calls = 0
 
-    def out_of_time() -> bool:
-        return limits.time_limit_s is not None and time.monotonic() - t0 > limits.time_limit_s
-
-    incumbent: dict[int, float] | None = None
-    inc_obj = INF
-    nodes_solved = 0
-
-    root = solve_lp(model)
-    nodes_solved += 1
-    if root.status == "infeasible":
-        return MipSolution("infeasible", {}, INF, INF, 0.0, nodes_solved)
-    if root.status == "unbounded":
-        raise KernelError("LP relaxation unbounded; MIP is ill-posed")
-
-    import heapq
-
-    seq = 0
-    heap: list = []
-
-    def consider(lp: LpSolution, overrides):
-        """Register an LP-solved node: incumbent if integral, else enqueue."""
-        nonlocal incumbent, inc_obj, seq
+    def solve_node(overrides, basis=None):
+        """The LP of one node as (open nodes, plans): an open node when the
+        LP is fractional, a plan when it is integral, neither when infeasible."""
+        nonlocal lp_calls
+        lp = solve_lp(model, overrides, basis=basis)
+        lp_calls += 1
+        if lp.status == "unbounded":
+            raise KernelError("LP relaxation unbounded; MIP is ill-posed")
+        if lp.status != "optimal":
+            return [], []
         frac = _fractional_binaries(model, lp.values)
         if not frac:
-            if lp.objective < inc_obj - 1e-12:
-                inc_obj = lp.objective
-                incumbent = dict(lp.values)
-            return
+            return [], [(lp.objective, lp.values)]
         branch_var = min(frac, key=lambda t: (abs(t[1] - 0.5), t[0]))[0]
-        heapq.heappush(heap, (lp.objective, seq, overrides, branch_var, lp.basis))
-        seq += 1
+        return [(lp.objective, (overrides, branch_var, lp.basis))], []
 
-    consider(root, {})
-
-    def current_bound() -> float:
-        if heap:
-            return min(inc_obj, heap[0][0])
-        return inc_obj
-
-    def gap_now() -> float:
-        if incumbent is None:
-            return INF
-        bound = current_bound()
-        return (inc_obj - bound) / max(abs(inc_obj), 1e-9)
-
-    status = "optimal"
-    while heap:
-        if out_of_time():
-            status = "time_limit"
-            break
-        if limits.node_limit is not None and nodes_solved >= limits.node_limit:
-            status = "feasible" if incumbent is not None else "time_limit"
-            break
-        if incumbent is not None and gap_now() <= limits.gap_tol:
-            break
-        bound, _, overrides, branch_var, basis = heapq.heappop(heap)
-        if bound >= inc_obj - 1e-9:
-            continue  # best-first: nothing below the incumbent remains
+    def expand(node, _objective):
+        overrides, branch_var, basis = node
+        children, plans = [], []
         for fix in (0.0, 1.0):
-            child = dict(overrides)
-            child[branch_var] = (fix, fix)
-            lp = solve_lp(model, child, basis=basis)
-            nodes_solved += 1
-            if lp.status == "optimal" and lp.objective < inc_obj - 1e-9:
-                consider(lp, child)
+            kids, found = solve_node({**overrides, branch_var: (fix, fix)}, basis)
+            children += kids
+            plans += found
+        return children, plans, INF
 
-    if incumbent is None:
-        if status == "optimal":
-            return MipSolution("infeasible", {}, INF, INF, 0.0, nodes_solved)
-        return MipSolution("time_limit", {}, INF, current_bound(), INF, nodes_solved)
-    bound = min(current_bound(), inc_obj)
-    gap = (inc_obj - bound) / max(abs(inc_obj), 1e-9)
-    # snap binaries to exact integers for downstream decoding
-    vals = dict(incumbent)
-    for vid in model.binary_ids:
-        vals[vid] = round(vals[vid])
-    return MipSolution(status, vals, inc_obj, bound, gap, nodes_solved)
+    res = best_first(*solve_node({}), expand, deadline, limits.gap_tol, limits.node_limit)
+    vals = {}
+    if res.plan is not None:
+        # snap binaries to exact integers for downstream decoding
+        vals = dict(res.plan)
+        for vid in model.binary_ids:
+            vals[vid] = round(vals[vid])
+    return MipSolution(res.status, vals, res.objective, res.bound, res.gap, lp_calls)

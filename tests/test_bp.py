@@ -39,6 +39,7 @@ from chargeplan.instance import (
     coverage_sets,
     generate,
     rho_table_for,
+    with_queue,
 )
 from chargeplan.milp import solve_mip
 from chargeplan.queueing import QueueConfig
@@ -368,6 +369,17 @@ class TestBranchAndPrice:
         heur = objective_value(inst, local_search(inst, best_greedy(inst)))
         res = branch_and_price(inst)
         assert res.z <= heur + 1e-9
+
+    def test_bound_honest_when_column_generation_is_cut(self):
+        # one pricing round leaves each root unconverged and unbranched, so
+        # its bound must stay below the true optimum
+        for seed in (0, 2, 8):
+            inst = with_queue(generate(PRESETS["tiny"], seed), b=2)
+            opt = solve_mip(build_evcec(inst).model).objective
+            res = branch_and_price(inst, BpLimits(cg_round_limit=1))
+            assert res.bound <= opt + 1e-6 * abs(opt), f"seed {seed}"
+            assert res.status == "feasible" and res.gap > 0.0, f"seed {seed}"
+            assert check_feasible(inst, res.incumbent).feasible
 
     def test_determinism(self):
         inst = generate(PRESETS["tiny"], 6)

@@ -172,6 +172,16 @@ class TestConsoleEntry:
         assert proc.returncode == 0, proc.stderr
         assert out.exists()
 
+    def test_import_pins_blas_threads_unless_set(self):
+        code = ("import os, chargeplan; print(*(os.environ[v] for v in "
+                "('OPENBLAS_NUM_THREADS', 'OMP_NUM_THREADS', 'MKL_NUM_THREADS')))")
+        env = {"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"}
+        for preset, expect in (({}, "1 1 1"), ({"OMP_NUM_THREADS": "3"}, "1 3 1")):
+            proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                  text=True, env={**env, **preset})
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.strip() == expect
+
 
 TIMING_COLUMNS = ("t_s", "ts_pct")
 

@@ -11,7 +11,6 @@ from chargeplan.evcec import (
     build_revcec,
     check_feasible,
     decode_deployment,
-    demand_rate,
     encode_deployment,
     load_solution,
     logit_probabilities,
@@ -101,19 +100,19 @@ class TestDemandRate:
         # theta=1, w=4, bcoef=1, one open station: lam = 4*1 + 1*1 = 5
         inst = hand_instance(w=(4.0,), bcoef=(1.0,), mu=8.0)
         dep = Deployment(open={1: (True,)}, posts={1: (1,)})
-        assert demand_rate(inst, dep, 1, 0) == pytest.approx(5.0)
+        assert station_rates(inst, dep.open[1], 1)[0] == pytest.approx(5.0)
 
     def test_closed_station_zero(self):
         inst = hand_instance(n_locations=2, dist=((0.5, 0.5),), w=(4.0,), bcoef=(1.0,))
         dep = Deployment(open={1: (True, False)}, posts={1: (2, 0)})
-        assert demand_rate(inst, dep, 1, 1) == 0.0
+        assert station_rates(inst, dep.open[1], 1)[1] == 0.0
 
     def test_symmetric_split(self):
         # two identical stations, w=4, bcoef=0 -> each receives 2
         inst = hand_instance(n_locations=2, dist=((0.5, 0.5),), w=(4.0,), bcoef=(0.0,))
         dep = Deployment(open={1: (True, True)}, posts={1: (1, 1)})
-        assert demand_rate(inst, dep, 1, 0) == pytest.approx(2.0)
-        assert demand_rate(inst, dep, 1, 1) == pytest.approx(2.0)
+        assert station_rates(inst, dep.open[1], 1)[0] == pytest.approx(2.0)
+        assert station_rates(inst, dep.open[1], 1)[1] == pytest.approx(2.0)
 
 
 class TestBuildSizes:

@@ -68,7 +68,7 @@ class TestGreedy:
         # lam = w + bcoef = 1.1 fits a single post (cap 4*0.3162 = 1.2649)
         inst = make_instance(2, w=1.0, bcoef=0.1)
         dep = greedy(inst, Criterion.MOST_ZONES)
-        assert dep.open_count(1) == 1
+        assert sum(dep.open[1]) == 1
         j = dep.open[1].index(True)
         lam = station_rates(inst, dep.open[1], 1)[j]
         rho = rho_alpha_table(2, 0, 0.9)
@@ -80,7 +80,7 @@ class TestGreedy:
         # station, after which each holds 0.5*2 + 0.05*1*2*0.5 = 1.05 <= 1.2649
         inst = make_instance(2, w=2.0, bcoef=0.05, m_max=1)
         dep = greedy(inst, Criterion.MOST_ZONES)
-        assert dep.open_count(1) == 2
+        assert sum(dep.open[1]) == 2
         assert check_feasible(inst, dep).feasible
 
     def test_infeasible_when_saturated(self):
@@ -136,7 +136,7 @@ class TestLocalSearch:
         expensive = (5000.0, 10.0, 500.0, 1.0)
         inst = make_instance(2, w=1.0, bcoef=0.1, costs=[cheap, expensive])
         start = greedy(inst, Criterion.MOST_ZONES, base_open={1: (True, True)})
-        assert start.open_count(1) == 2
+        assert sum(start.open[1]) == 2
         improved = local_search(inst, start)
         assert improved.open[1] == (True, False)
         assert objective_value(inst, improved) < objective_value(inst, start) - 1.0

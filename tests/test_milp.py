@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from chargeplan.milp import (
     MipLimits,
     Model,
     ModelError,
+    best_first,
     solve_lp,
     solve_mip,
 )
@@ -105,15 +107,6 @@ class TestModelContainer:
         m = Model()
         with pytest.raises(ModelError):
             m.add_var(BINARY, lower=-0.5, upper=1.0)
-
-    def test_dump_lp_mentions_everything(self):
-        m = Model("demo")
-        x = m.add_var(name="x")
-        y = m.add_binary(name="y")
-        m.add_constraint([(x, 1.0), (y, -2.0)], GE, 1.0, name="link")
-        m.set_objective([(x, 1.0)], offset=3.0)
-        text = m.dump_lp()
-        assert "link" in text and "x" in text and "Binaries" in text
 
 
 class TestSolveLp:
@@ -316,6 +309,8 @@ class TestSolveMip:
         assert sol.objective == pytest.approx(4.4, abs=1e-8)
 
     def test_node_limit_reports_honestly(self):
+        # best first reaches no integral LP on this knapsack within three
+        # expansions: no incumbent, and the bound stays below the optimum
         rng = random.Random(3)
         nb = 14
         m = Model()
@@ -324,9 +319,20 @@ class TestSolveMip:
         m.add_constraint(list(zip(xs, weights)), LE, sum(weights) * 0.4)
         m.set_objective([(x, -rng.uniform(1, 4)) for x in xs])
         sol = solve_mip(m, MipLimits(node_limit=3))
-        assert sol.status in ("feasible", "time_limit")
-        if sol.status == "feasible":
-            assert sol.bound <= sol.objective + 1e-9
+        assert sol.status == "time_limit" and not sol.values
+        assert sol.bound <= solve_mip(m).objective
+        # two knapsack rows: four expansions find an incumbent but no proof
+        rng = random.Random(22)
+        m = Model()
+        xs = [m.add_binary() for _ in range(10)]
+        for _ in range(2):
+            weights = [rng.uniform(1, 5) for _ in xs]
+            m.add_constraint(list(zip(xs, weights)), LE, sum(weights) * 0.5)
+        m.set_objective([(x, -rng.uniform(1, 4)) for x in xs])
+        sol = solve_mip(m, MipLimits(node_limit=4))
+        assert sol.status == "feasible"
+        assert sol.bound <= sol.objective and sol.gap > 1e-6
+        assert sol.bound <= solve_mip(m).objective
 
     def test_determinism(self):
         rng = random.Random(8)
@@ -340,6 +346,57 @@ class TestSolveMip:
         a = solve_mip(m)
         b = solve_mip(m)
         assert a.objective == b.objective and a.values == b.values and a.nodes == b.nodes
+
+
+def tree_expand(tree):
+    """An ``expand`` that reads (children, plans, floor) from a dict and
+    records the order in which nodes are expanded."""
+    order = []
+
+    def expand(node, _objective):
+        order.append(node)
+        return tree[node]
+
+    return expand, order
+
+
+class TestBestFirst:
+    def test_floor_below_incumbent_bounds_the_search(self):
+        # "a" finds a plan at 5 but leaves part of its subtree above 3
+        # unsearched; "c" cannot beat the plan and is never expanded
+        expand, order = tree_expand({
+            "root": ([(1.0, "a"), (2.0, "b"), (6.0, "c")], [], INF),
+            "a": ([], [(5.0, "plan")], 3.0),
+            "b": ([], [], INF),
+        })
+        res = best_first([(0.0, "root")], [], expand)
+        assert order == ["root", "a", "b"]
+        assert (res.status, res.plan, res.objective, res.bound) == ("feasible", "plan", 5.0, 3.0)
+        assert res.gap == pytest.approx(0.4) and res.nodes == 3
+
+    def test_gap_stop(self):
+        expand, order = tree_expand({"root": ([(9.0, "a"), (9.5, "b")], [(10.0, "p")], INF)})
+        res = best_first([(0.0, "root")], [], expand, gap_tol=0.1)
+        assert order == ["root"]
+        assert (res.status, res.objective, res.bound) == ("optimal", 10.0, 9.0)
+
+    def test_node_limit_cut_keeps_open_bounds(self):
+        # equal bounds pop in push order: "a" before "b"
+        expand, order = tree_expand({
+            "root": ([(1.0, "a"), (1.0, "b")], [(10.0, "p")], INF),
+            "a": ([(2.0, "c")], [], INF),
+        })
+        res = best_first([(0.0, "root")], [], expand, node_limit=2)
+        assert order == ["root", "a"]
+        assert (res.status, res.bound, res.nodes) == ("feasible", 1.0, 2)
+        res = best_first([(0.0, "root")], [], expand, deadline=time.monotonic() - 1.0)
+        assert (res.status, res.plan, res.bound, res.nodes) == ("time_limit", None, 0.0, 0)
+
+    def test_exhausted_without_plan_is_infeasible(self):
+        expand, order = tree_expand({"root": ([(1.0, "a")], [], INF), "a": ([], [], INF)})
+        res = best_first([(0.0, "root")], [], expand)
+        assert order == ["root", "a"]
+        assert (res.status, res.plan, res.bound, res.nodes) == ("infeasible", None, INF, 2)
 
 
 def random_lp(rng, n, m):
