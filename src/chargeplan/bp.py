@@ -8,13 +8,12 @@ row per node and the linking rows; its objective uses telescoped cost
 coefficients so that summing chosen column costs minus the initial-state
 rebate reproduces the original expected cost exactly.
 
-Pricing is solved sequentially down the tree: a node whose parent just priced
-a fresh column is restricted to extend that column (open everything the
-parent opened, at no fewer posts).  Such guided rounds converge fast but may
-overestimate the per-round Lagrangian bound, so bounds used for pruning are
-taken only from rounds where no guidance fired; the terminating round (no
-column added anywhere) is always guidance-free, which makes the final bound
-exact.
+Pricing is exact and needs no MILP: once a node's open vector is fixed,
+arrival rates follow in closed form from the logit shares and each open
+station takes its cheapest admissible post count, so ``solve_pricing``
+enumerates the node's free open flags in vectorised blocks and returns the
+best few columns.  Every complete round therefore gives a valid Lagrangian
+bound, and a node's bound is the best of its rounds.
 
 Branching fixes original variables: first open flags (most fractional
 aggregate), then aggregated post counts when the open pattern is integral but
@@ -23,13 +22,12 @@ monotonicity rows and are enforced inside pricing, so the pricing structure
 never changes shape.
 
 The tree search is ``milp.best_first``, the same search branch and bound
-uses; ``branch_and_price`` only supplies the node expansion.  A master bound
-holds only while pricing is exact, so a node whose column generation stops at
-a limit without branching (or a root-only cut) hands its last certified
-bound to the search as the floor of its unsearched subtree.  Plans come from
-one source: the greedy plus local search at the start, and at each node the
-primal repair of the master and its decoded aggregate.  Every plan passes
-``check_feasible`` before it counts.
+uses; ``branch_and_price`` only supplies the node expansion.  A node whose
+column generation stops at a limit without branching (or a root-only cut)
+hands its best Lagrangian bound to the search as the floor of its unsearched
+subtree.  Plans come from one source: the greedy plus local search at the
+start, and at each node the primal repair of the master and its decoded
+aggregate.  Every plan passes ``check_feasible`` before it counts.
 """
 
 from __future__ import annotations
@@ -38,13 +36,9 @@ import math
 import time
 from dataclasses import dataclass, field
 
-from .evcec import (
-    Deployment,
-    _add_scenario_rows,
-    _make_scenario_vars,
-    check_feasible,
-    objective_value,
-)
+import numpy as np
+
+from .evcec import Deployment, check_feasible, objective_value
 from .heuristic import (
     Criterion,
     InfeasibleInstanceError,
@@ -53,11 +47,14 @@ from .heuristic import (
     local_search,
 )
 from .instance import Instance, attraction_matrix, coverage_sets, rho_table_for
-from .milp import BINARY, EQ, GE, LE, MipLimits, Model, best_first, solve_lp, solve_mip
+from .milp import EQ, GE, Model, best_first, solve_lp
 
 PENALTY_COST = 1e7   # linking-row slack and artificial-column price
 RC_TOL = 1e-6        # a column must beat its convexity dual by this much
 INT_TOL = 1e-6
+PRICING_COLUMNS = 20  # columns a node may add per round, best first
+BLOCK_BITS = 12       # free open flags enumerated together: 4096 patterns a block
+MAX_FREE_FLAGS = 30   # beyond this, enumerating a node's patterns is out of reach
 
 
 @dataclass(frozen=True)
@@ -173,8 +170,7 @@ class BpLimits:
 class CgResult:
     status: str                 # converged | limit | infeasible
     lp_value: float
-    lagrangian_lb: float
-    exact_lb: float             # best bound from guidance-free rounds
+    lagrangian_lb: float        # best bound over the completed rounds
     duals: RmpDuals | None
     rmp: RmpSolution | None
     new_columns: list
@@ -363,74 +359,107 @@ def solve_rmp(inst: Instance, coeffs: CostCoeffs, columns, fixings: Fixings) -> 
 
 @dataclass
 class PricingOutcome:
-    column: Column | None
-    reduced_cost: float         # incumbent objective minus convexity dual
-    rc_bound: float             # valid lower bound on the true reduced cost
-    status: str                 # optimal | infeasible | limit
+    columns: list               # the best columns with rc < -RC_TOL, best first
+    reduced_cost: float         # least reduced cost over the node (inf if infeasible)
+    status: str                 # optimal | infeasible
+
+
+def zone_arrays(inst: Instance, n: int):
+    """Node n's zones by locations: coverage (0/1) and coverage-masked
+    attraction, then the zone weights theta, w and bcoef."""
+    cov = coverage_sets(inst)
+    node = inst.node(n)
+    near = np.array([[j in cov.locs_near[n][i] for j in range(inst.n_locations)]
+                     for i in range(inst.n_zones)], dtype=float)
+    attr = near * np.array(attraction_matrix(inst))
+    return near, attr, np.array(node.theta), np.array(node.w), np.array(node.bcoef)
+
+
+def pattern_rates(zones, x: np.ndarray):
+    """``station_rates`` for each row of the 0/1 matrix x (patterns by
+    locations) at the node of ``zones``, and whether the row covers every
+    zone (an uncovered row's rates mean nothing)."""
+    near, attr, theta, w, bcoef = zones
+    open_near = x @ near.T
+    denom = x @ attr.T
+    covered = (open_near > 0).all(axis=1)
+    denom[open_near == 0] = 1.0
+    rates = ((theta * (w + bcoef * open_near)) / denom) @ attr * x
+    return rates, covered
 
 
 def solve_pricing(inst: Instance, n: int, coeffs: CostCoeffs, duals: RmpDuals,
-                  guidance: Column | None, fixings: Fixings,
-                  limits: MipLimits | None = None) -> PricingOutcome:
-    """Price one node: minimize the reduced-cost objective over the node's
-    in-scenario constraints, honoring branch fixings and (optionally) the
-    parent's fresh column as a lower-bound guide."""
-    cov = coverage_sets(inst)
-    attr = attraction_matrix(inst)
-    rho = rho_table_for(inst)
+                  fixings: Fixings) -> PricingOutcome:
+    """Price one node exactly by enumerating its free open flags x.
+
+    For a fixed x the arrival rates are closed form, and each open station
+    takes the cheapest post count in [max(1, kmin, fixed lo), min(m_max,
+    fixed hi)], kmin as in ``heuristic.min_posts``: the low end when a post's
+    reduced cost is >= 0, else the high end.  An empty interval or an
+    uncovered zone rules x out.  Blocks of patterns run in bound order (the
+    decided open flags at congestion-free cost plus the undecided ones'
+    negative parts) until no block can improve the result.  Returns the
+    PRICING_COLUMNS best columns with rc < -RC_TOL, ties by pattern index.
+    """
+    nloc = inst.n_locations
     kids = inst.children(n)
-
-    m = Model(f"pricing[{n}]")
-    x: dict = {}
-    y: dict = {}
-    alpha: dict = {}
-    z: dict = {}
-    _make_scenario_vars(m, inst, cov, n, BINARY, x, y, alpha, z)
-    _add_scenario_rows(m, inst, cov, attr, rho, n, x, y, alpha, z)
-
-    for j in range(inst.n_locations):
-        fx = fixings.x_fix.get((n, j))
-        if fx is not None:
-            m.add_constraint([(x[n, j], 1.0)], EQ, float(fx), name=f"fix_x[{j}]")
-        lo = fixings.post_lo.get((n, j))
-        hi = fixings.post_hi.get((n, j))
-        mj = inst.locations[j].m_max
-        weight = [(y[n, j, k], float(k)) for k in range(1, mj + 1)]
-        if lo is not None and lo >= 1:
-            m.add_constraint(weight, GE, float(lo), name=f"fix_plo[{j}]")
-        if hi is not None and hi < mj:
-            m.add_constraint(weight, LE, float(hi), name=f"fix_phi[{j}]")
-        if guidance is not None and guidance.open[j]:
-            m.add_constraint([(x[n, j], 1.0)], EQ, 1.0, name=f"guide_x[{j}]")
-            if guidance.posts[j] >= 1:
-                m.add_constraint(weight, GE, float(guidance.posts[j]), name=f"guide_p[{j}]")
-
-    obj = []
-    for j in range(inst.n_locations):
-        cx = coeffs.c1[n, j] - duals.pi1[n, j] + sum(duals.pi1[c, j] for c in kids)
-        cy = coeffs.c2[n, j] - duals.pi2[n, j] + sum(duals.pi2[c, j] for c in kids)
-        obj.append((x[n, j], cx))
-        for k in range(1, inst.locations[j].m_max + 1):
-            obj.append((y[n, j, k], cy * k))
-    m.set_objective(obj)
-
-    sol = solve_mip(m, limits or MipLimits(gap_tol=1e-9))
     sigma = duals.sigma[n]
-    if sol.status == "infeasible":
-        return PricingOutcome(None, math.inf, math.inf, "infeasible")
-    if not sol.values:
-        return PricingOutcome(None, math.inf, sol.bound - sigma, "limit")
-    open_row = tuple(sol.values[x[n, j]] > 0.5 for j in range(inst.n_locations))
-    posts_row = tuple(
-        int(round(sum(k * sol.values[y[n, j, k]]
-                      for k in range(1, inst.locations[j].m_max + 1))))
-        for j in range(inst.n_locations)
-    )
-    col = make_column(coeffs, n, open_row, posts_row)
-    rc = sol.objective - sigma
-    rc_bound = sol.bound - sigma
-    status = "optimal" if sol.status == "optimal" else "limit"
-    return PricingOutcome(col if rc < -RC_TOL else None, rc, rc_bound, status)
+    caps = inst.queue.mu * np.array(rho_table_for(inst).values)
+    zones = zone_arrays(inst, n)
+    cx = np.array([coeffs.c1[n, j] - duals.pi1[n, j] + sum(duals.pi1[c, j] for c in kids)
+                   for j in range(nloc)])
+    cy = np.array([coeffs.c2[n, j] - duals.pi2[n, j] + sum(duals.pi2[c, j] for c in kids)
+                   for j in range(nloc)])
+    lo_fix = np.array([max(1, fixings.post_lo.get((n, j), 1)) for j in range(nloc)])
+    hi_fix = np.array([min(loc.m_max, fixings.post_hi.get((n, j), loc.m_max))
+                       for j, loc in enumerate(inst.locations)])
+    # cheapest cost of an open station with congestion ignored; inf when the
+    # post fixings leave it no count
+    open_cost = np.where(lo_fix > hi_fix, np.inf,
+                         cx + cy * np.where(cy >= 0, lo_fix, hi_fix))
+    fixed = [fixings.x_fix.get((n, j), 1 if fixings.post_lo.get((n, j), 0) >= 1 else None)
+             for j in range(nloc)]
+    # the flags whose cost swings the bound most are decided per block
+    free = sorted((j for j in range(nloc) if fixed[j] is None), key=lambda j: abs(open_cost[j]))
+    if len(free) > MAX_FREE_FLAGS:
+        raise ValueError(f"node {n}: {len(free)} free open flags, pricing takes {MAX_FREE_FLAGS}")
+    inner, outer = free[:BLOCK_BITS], free[BLOCK_BITS:]
+    size = 1 << len(inner)
+    inner_bits = (np.arange(size)[:, None] >> np.arange(len(inner))) & 1
+    blocks = np.arange(1 << len(outer))
+    base = np.array([v == 1 for v in fixed], dtype=float)
+    bounds = np.full(len(blocks), open_cost[base > 0].sum()
+                     + np.minimum(open_cost[inner], 0.0).sum())
+    for bit, j in enumerate(outer):
+        bounds += np.where((blocks >> bit) & 1, open_cost[j], 0.0)
+
+    best_obj = np.empty(0)
+    best_idx = np.empty(0, dtype=int)
+    best_posts = np.empty((0, nloc), dtype=int)
+    for block in np.argsort(bounds, kind="stable"):
+        least = best_obj[0] if len(best_obj) else math.inf
+        kth = best_obj[-1] if len(best_obj) == PRICING_COLUMNS else math.inf
+        if bounds[block] >= max(least, min(kth, sigma - RC_TOL)):
+            break
+        x = np.tile(base, (size, 1))
+        x[:, inner] = inner_bits
+        x[:, outer] = (block >> np.arange(len(outer))) & 1
+        rates, covered = pattern_rates(zones, x)
+        lo = np.maximum(np.searchsorted(caps, rates) + 1, lo_fix)  # first cap >= rate
+        is_open = x > 0
+        ok = covered & ~(is_open & (lo > hi_fix)).any(axis=1)
+        posts = np.where(is_open, np.where(cy >= 0, lo, hi_fix), 0)[ok]
+        obj = np.concatenate([best_obj, x[ok] @ cx + posts @ cy])
+        idx = np.concatenate([best_idx, block * size + np.flatnonzero(ok)])
+        keep = np.lexsort((idx, obj))[:PRICING_COLUMNS]
+        best_obj, best_idx = obj[keep], idx[keep]
+        best_posts = np.concatenate([best_posts, posts])[keep]
+    if not len(best_obj):
+        return PricingOutcome([], math.inf, "infeasible")
+    rcs = best_obj - sigma
+    columns = [make_column(coeffs, n, posts > 0, posts)  # open iff it has posts
+               for posts, rc in zip(best_posts, rcs) if rc < -RC_TOL]
+    return PricingOutcome(columns, float(rcs[0]), "optimal")
 
 
 # ---------------------------------------------------------------------------
@@ -442,82 +471,51 @@ def column_generation(inst: Instance, coeffs: CostCoeffs, pool: list,
                       deadline: float | None = None) -> CgResult:
     """Price-and-solve loop for one branch node.
 
-    Pricing runs in topological node order; a node receives its parent's
-    column from the *same* round as guidance.  The round that adds no column
-    anywhere is necessarily guidance-free, so convergence certifies the bound.
+    Pricing is exact, so each round gives a Lagrangian bound and
+    ``lagrangian_lb`` is the best of them.  The deadline is checked between
+    node pricings; a round it cuts short adds no bound and no column.
     """
     limits = limits or BpLimits()
-    parent_of = {node.id: node.parent for node in inst.tree}
     iterations = []
     new_columns = []
     seen = {c.key() for c in pool}
-    exact_lb = -math.inf
-    rmp = None
-
+    best_lb = -math.inf
     for round_no in range(limits.cg_round_limit):
         rmp = solve_rmp(inst, coeffs, pool, fixings)
-        fresh: dict[int, Column] = {}
         added = []
-        rc_terms = []
         node_rcs = {}
-        guided_round = False
-        all_optimal = True
         for n in inst.node_ids():
-            guidance = fresh.get(parent_of[n])
-            if guidance is not None:
-                guided_round = True
-            remaining = None
-            if deadline is not None:
-                remaining = max(0.5, deadline - time.monotonic())
-            outcome = solve_pricing(
-                inst, n, coeffs, rmp.duals, guidance, fixings,
-                MipLimits(gap_tol=1e-9, time_limit_s=remaining),
-            )
+            if deadline is not None and time.monotonic() > deadline:
+                return CgResult("limit", rmp.value, best_lb, rmp.duals, rmp,
+                                new_columns, iterations)
+            outcome = solve_pricing(inst, n, coeffs, rmp.duals, fixings)
             if outcome.status == "infeasible":
-                if guidance is None:
-                    return CgResult("infeasible", math.inf, math.inf, math.inf,
-                                    None, None, new_columns, iterations)
-                node_rcs[n] = None  # guided restriction infeasible, no information
-                all_optimal = False
-                continue
-            if outcome.status != "optimal":
-                all_optimal = False
+                return CgResult("infeasible", math.inf, math.inf,
+                                None, None, new_columns, iterations)
             node_rcs[n] = outcome.reduced_cost
-            rc_terms.append(min(0.0, outcome.rc_bound))
-            if outcome.column is not None and outcome.column.key() not in seen:
-                seen.add(outcome.column.key())
-                added.append(outcome.column)
-                fresh[n] = outcome.column
-        lb_round = rmp.value + sum(rc_terms) if len(rc_terms) == len(inst.tree) else -math.inf
-        exact_round = (not guided_round) and all_optimal and len(rc_terms) == len(inst.tree)
-        if exact_round:
-            exact_lb = max(exact_lb, lb_round)
+            for col in outcome.columns:
+                if col.key() not in seen:
+                    seen.add(col.key())
+                    added.append(col)
+        lb_round = rmp.value + sum(min(0.0, rc) for rc in node_rcs.values())
+        best_lb = max(best_lb, lb_round)
         iterations.append(
             {
                 "round": round_no,
                 "rmp_value": rmp.value,
                 "lagrangian_lb": lb_round,
-                "exact": exact_round,
                 "columns_added": len(added),
                 "penalty": rmp.penalty,
                 "reduced_costs": node_rcs,
             }
         )
         if not added:
-            if all_optimal:
-                return CgResult("converged", rmp.value, lb_round, exact_lb,
-                                rmp.duals, rmp, new_columns, iterations)
-            return CgResult("limit", rmp.value, exact_lb, exact_lb,
+            return CgResult("converged", rmp.value, best_lb,
                             rmp.duals, rmp, new_columns, iterations)
         pool.extend(added)
         new_columns.extend(added)
-        if deadline is not None and time.monotonic() > deadline:
-            rmp = solve_rmp(inst, coeffs, pool, fixings)
-            return CgResult("limit", rmp.value, exact_lb, exact_lb,
-                            rmp.duals, rmp, new_columns, iterations)
     rmp = solve_rmp(inst, coeffs, pool, fixings)
-    return CgResult("limit", rmp.value, exact_lb, exact_lb,
-                    rmp.duals, rmp, new_columns, iterations)
+    return CgResult("limit", rmp.value, best_lb, rmp.duals, rmp, new_columns, iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -676,7 +674,7 @@ def branch_and_price(inst: Instance, limits: BpLimits | None = None) -> BpResult
         )
         if cg.status == "infeasible":
             return [], [], math.inf
-        node_lb = max(bnode.parent_bound, cg.exact_lb)
+        node_lb = max(bnode.parent_bound, cg.lagrangian_lb)
         if cg.status == "converged":
             node_lb = max(node_lb, cg.lp_value)
         if node_lb >= best - 1e-9:

@@ -121,7 +121,7 @@ class EvcecModel:
 
 def _add_scenario_rows(m: Model, inst: Instance, cov, attr, rho, n: int,
                        x: dict, y: dict, alpha: dict, z: dict) -> None:
-    """Rows 3b-3h for one scenario node (shared by the full model and pricing)."""
+    """Rows 3b-3h for one scenario node."""
     node = inst.node(n)
     mu = inst.queue.mu
     # 3b: congestion

@@ -8,7 +8,6 @@ invariant and reports all violations at once.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import random
@@ -593,5 +592,7 @@ def _bad_dist(i, j):
 
 def instance_hash(inst: Instance) -> str:
     """Stable content hash used as solution-file provenance."""
+    import hashlib  # loads OpenSSL (about 3.5 MB resident): only solution files need it
+
     blob = json.dumps(_to_dict(inst), sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]

@@ -185,14 +185,14 @@ def render_cg_log(stats: dict) -> str:
         )
         for rec in entry["cg"]:
             rcs = " ".join(
-                f"{n}:{'-' if rc is None else format(rc, '.4g')}"
+                f"{n}:{rc:.4g}"
                 for n, rc in sorted(rec.get("reduced_costs", {}).items())
             )
             lb = rec["lagrangian_lb"]
             lb_txt = f"{lb:.6g}" if lb > -math.inf else "-"
             lines.append(
                 f"  round {rec['round']:3d}  rmp={rec['rmp_value']:.6g}  "
-                f"lb={lb_txt}{'*' if rec['exact'] else ''}  "
+                f"lb={lb_txt}  "
                 f"cols+{rec['columns_added']}  rc[{rcs}]"
             )
     return "\n".join(lines) + ("\n" if lines else "")

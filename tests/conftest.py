@@ -14,6 +14,8 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
+import chargeplan  # noqa: E402,F401  (pins BLAS threads before a test imports numpy)
+
 
 # ---------------------------------------------------------------------------
 # Birth-death oracle for M/M/s queues

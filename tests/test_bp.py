@@ -2,9 +2,13 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
+from chargeplan import bp
 from chargeplan.bp import (
+    PRICING_COLUMNS,
+    RC_TOL,
     BpLimits,
     Column,
     CostCoeffs,
@@ -18,14 +22,20 @@ from chargeplan.bp import (
     columns_from_deployment,
     cost_coefficients,
     make_column,
+    pattern_rates,
     primal_repair,
     solve_pricing,
     solve_rmp,
+    zone_arrays,
 )
 from chargeplan.evcec import (
+    CoverageError,
     Deployment,
+    _add_scenario_rows,
+    _make_scenario_vars,
     build_evcec,
     check_feasible,
+    decode_deployment,
     objective_value,
     station_rates,
 )
@@ -36,12 +46,13 @@ from chargeplan.instance import (
     PRESETS,
     ScenarioNode,
     Zone,
+    attraction_matrix,
     coverage_sets,
     generate,
     rho_table_for,
     with_queue,
 )
-from chargeplan.milp import solve_mip
+from chargeplan.milp import BINARY, EQ, GE, LE, MipLimits, Model, solve_mip
 from chargeplan.queueing import QueueConfig
 
 from test_evcec import hand_instance
@@ -120,6 +131,113 @@ def enumerate_scenario_points(inst, n):
         for posts in itertools.product(*ranges):
             points.append((mask, posts))
     return points
+
+
+def pricing_costs(inst, n, coeffs, duals):
+    """Reduced cost per open flag and per post at node n."""
+    kids = inst.children(n)
+    cx = [coeffs.c1[n, j] - duals.pi1[n, j] + sum(duals.pi1[c, j] for c in kids)
+          for j in range(inst.n_locations)]
+    cy = [coeffs.c2[n, j] - duals.pi2[n, j] + sum(duals.pi2[c, j] for c in kids)
+          for j in range(inst.n_locations)]
+    return cx, cy
+
+
+def pricing_mip(inst, n, coeffs, duals, fixings):
+    """MILP oracle: the single-node reduced-cost model under the fixings."""
+    cov = coverage_sets(inst)
+    m = Model(f"pricing[{n}]")
+    x, y, alpha, z = {}, {}, {}, {}
+    _make_scenario_vars(m, inst, cov, n, BINARY, x, y, alpha, z)
+    _add_scenario_rows(m, inst, cov, attraction_matrix(inst), rho_table_for(inst), n,
+                       x, y, alpha, z)
+    cx, cy = pricing_costs(inst, n, coeffs, duals)
+    obj = []
+    for j, loc in enumerate(inst.locations):
+        weight = [(y[n, j, k], float(k)) for k in range(1, loc.m_max + 1)]
+        if (n, j) in fixings.x_fix:
+            m.add_constraint([(x[n, j], 1.0)], EQ, float(fixings.x_fix[n, j]))
+        if (n, j) in fixings.post_lo:
+            m.add_constraint(weight, GE, float(fixings.post_lo[n, j]))
+        if (n, j) in fixings.post_hi:
+            m.add_constraint(weight, LE, float(fixings.post_hi[n, j]))
+        obj.append((x[n, j], cx[j]))
+        obj += [(v, cy[j] * c) for v, c in weight]
+    m.set_objective(obj)
+    return solve_mip(m, MipLimits(gap_tol=1e-9))
+
+
+def random_duals(inst, coeffs, rng):
+    scale = max(abs(v) for v in list(coeffs.c1.values()) + list(coeffs.c2.values()))
+    keys = [(n, j) for n in inst.node_ids() for j in range(inst.n_locations)]
+    return RmpDuals(
+        pi1={k: rng.uniform(0.0, scale) for k in keys},
+        pi2={k: rng.uniform(0.0, 0.2 * scale) for k in keys},
+        sigma={n: rng.uniform(-2.0 * scale, 6.0 * scale) for n in inst.node_ids()},
+    )
+
+
+def random_fixings(inst, n, rng):
+    """Fixings at node n of the kinds branching makes: closed, open with a
+    post floor, or a post ceiling."""
+    x_fix, post_lo, post_hi = {}, {}, {}
+    for j, loc in enumerate(inst.locations):
+        r = rng.random()
+        if r < 0.1:
+            x_fix[n, j] = 0
+        elif r < 0.25:
+            x_fix[n, j] = 1
+            post_lo[n, j] = rng.randint(1, loc.m_max)
+        elif r < 0.35:
+            post_hi[n, j] = rng.randint(1, loc.m_max)
+    fixings = Fixings(x_fix, post_lo, post_hi)
+    assert fixings.consistent()
+    return fixings
+
+
+def slice_violations(inst, n, col):
+    """Rows 3b/3c/3h (and the post cap) the column breaks as node n's slice,
+    audited with no tolerance."""
+    dep = Deployment(open=dict.fromkeys(inst.node_ids(), col.open),
+                     posts=dict.fromkeys(inst.node_ids(), col.posts))
+    return [v for v in check_feasible(inst, dep, tol=0.0).violations
+            if v.node == n and v.family in ("3b", "3c", "3h", "3l")]
+
+
+def check_pricing_against_oracles(inst, n, coeffs, duals, fixings, points=None):
+    """solve_pricing against the MILP oracle and, given the node's scenario
+    points, the brute-force one; every column must pass the slice audit."""
+    out = solve_pricing(inst, n, coeffs, duals, fixings)
+    sigma = duals.sigma[n]
+    mip = pricing_mip(inst, n, coeffs, duals, fixings)
+    if mip.status == "infeasible":
+        assert out.status == "infeasible" and not out.columns
+        return out
+    assert mip.status == "optimal"
+    assert out.status == "optimal"
+    assert out.reduced_cost == pytest.approx(mip.objective - sigma, rel=1e-9, abs=1e-6)
+    cx, cy = pricing_costs(inst, n, coeffs, duals)
+
+    def rc(mask, posts):
+        return sum(cx[j] * mask[j] + cy[j] * posts[j] for j in range(len(mask))) - sigma
+
+    if points is not None:
+        best = {}
+        for mask, posts in points:
+            if fixings.compatible(make_column(coeffs, n, mask, posts)):
+                best[mask] = min(best.get(mask, math.inf), rc(mask, posts))
+        ranked = sorted(best.values())
+        assert out.reduced_cost == pytest.approx(ranked[0], rel=1e-9, abs=1e-6)
+        wanted = [v for v in ranked if v < -RC_TOL][:PRICING_COLUMNS]
+        got = [rc(c.open, c.posts) for c in out.columns]
+        assert got == pytest.approx(wanted, rel=1e-9, abs=1e-6)
+    assert len(out.columns) <= PRICING_COLUMNS
+    assert len({c.open for c in out.columns}) == len(out.columns)
+    for col in out.columns:
+        assert col.node == n and fixings.compatible(col)
+        assert rc(col.open, col.posts) < -RC_TOL
+        assert not slice_violations(inst, n, col)
+    return out
 
 
 class TestCostCoeffs:
@@ -220,28 +338,37 @@ class TestPricing:
             pi2={(1, j): 0.0 for j in range(2)},
             sigma={1: 1e6},  # large convexity dual forces a column out
         )
-        out = solve_pricing(inst, 1, coeffs, duals, None, Fixings())
+        out = solve_pricing(inst, 1, coeffs, duals, Fixings())
         assert out.status == "optimal"
-        assert out.column is not None
-        assert out.column.cost == pytest.approx(best_cost, rel=1e-9)
+        assert out.columns
+        assert out.columns[0].cost == pytest.approx(best_cost, rel=1e-9)
         assert out.reduced_cost == pytest.approx(best_cost - 1e6, rel=1e-9)
 
     def test_fixing_only_cover_closed_is_infeasible(self):
         inst = hand_instance(m_max=1)
         coeffs = cost_coefficients(inst)
         duals = RmpDuals(pi1={(1, 0): 0.0}, pi2={(1, 0): 0.0}, sigma={1: 0.0})
-        out = solve_pricing(inst, 1, coeffs, duals, None, Fixings(x_fix={(1, 0): 0}))
+        out = solve_pricing(inst, 1, coeffs, duals, Fixings(x_fix={(1, 0): 0}))
         assert out.status == "infeasible"
-        assert out.column is None
+        assert not out.columns
 
-    def test_guided_pricing_accepts_oracle_optimum(self):
-        # each node's slice of an optimal plan stays feasible when guided by
-        # its parent's slice
+    def test_too_many_free_flags_raises(self):
+        # 2**31 patterns are out of reach: refuse before allocating anything
+        inst = chain_instance(n_locations=31)
+        coeffs = cost_coefficients(inst)
+        zero = RmpDuals(pi1=dict.fromkeys(coeffs.c1, 0.0), pi2=dict.fromkeys(coeffs.c2, 0.0),
+                        sigma={1: 0.0, 2: 0.0})
+        with pytest.raises(ValueError, match="31 free open flags"):
+            solve_pricing(inst, 2, coeffs, zero, Fixings())
+        fixed = Fixings(x_fix={(2, 0): 0})
+        assert solve_pricing(inst, 2, coeffs, zero, fixed).status == "optimal"
+
+    def test_zero_dual_pricing_no_dearer_than_optimal_slice(self):
+        # at zero linking duals each node prices a column no dearer than its
+        # slice of an optimal plan
         inst = generate(PRESETS["tiny"], 2)
         coeffs = cost_coefficients(inst)
         mip = solve_mip(build_evcec(inst).model)
-        from chargeplan.evcec import decode_deployment
-
         dep = decode_deployment(build_evcec(inst), mip.values)
         cols = {c.node: c for c in columns_from_deployment(inst, coeffs, dep)}
         zero = RmpDuals(
@@ -249,14 +376,52 @@ class TestPricing:
             pi2={(n, j): 0.0 for n in inst.node_ids() for j in range(inst.n_locations)},
             sigma={n: 1e9 for n in inst.node_ids()},
         )
-        for node in inst.tree:
-            if node.parent is None:
-                continue
-            out = solve_pricing(inst, node.id, coeffs, zero, cols[node.parent], Fixings())
+        for n in inst.node_ids():
+            out = solve_pricing(inst, n, coeffs, zero, Fixings())
             assert out.status == "optimal"
-            guided_cost = out.column.cost
-            own_cost = cols[node.id].cost
-            assert guided_cost <= own_cost + 1e-6
+            assert out.columns[0].cost <= cols[n].cost + 1e-6
+
+
+    @pytest.mark.parametrize("block_bits", [None, 1])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_enumeration_and_mip_oracles(self, seed, block_bits, monkeypatch):
+        # block_bits=1 splits a tiny node's patterns into blocks of two, so
+        # the block bound and the early stop are exercised too
+        if block_bits is not None:
+            monkeypatch.setattr(bp, "BLOCK_BITS", block_bits)
+        rng = random.Random(100 + seed)
+        inst = generate(PRESETS["tiny"], seed)
+        coeffs = cost_coefficients(inst)
+        for n in inst.node_ids():
+            points = enumerate_scenario_points(inst, n)
+            for fixings in (Fixings(), random_fixings(inst, n, rng),
+                            random_fixings(inst, n, rng)):
+                duals = random_duals(inst, coeffs, rng)
+                check_pricing_against_oracles(inst, n, coeffs, duals, fixings, points)
+
+    def test_small_node_matches_mip_oracle(self):
+        # node 1 of small seed 1 (b=1) under the master over the greedy plus
+        # local-search columns; too many post profiles to list every point
+        inst = with_queue(generate(PRESETS["small"], 1), b=1)
+        coeffs = cost_coefficients(inst)
+        pool = columns_from_deployment(inst, coeffs, local_search(inst, best_greedy(inst)))
+        duals = solve_rmp(inst, coeffs, pool, Fixings()).duals
+        out = check_pricing_against_oracles(inst, 1, coeffs, duals, Fixings())
+        assert len(out.columns) == PRICING_COLUMNS
+
+    def test_pattern_rates_match_station_rates(self):
+        for seed in range(6):
+            inst = generate(PRESETS["tiny"], seed)
+            masks = np.array(list(itertools.product((0.0, 1.0), repeat=inst.n_locations)))
+            for n in inst.node_ids():
+                rates, covered = pattern_rates(zone_arrays(inst, n), masks)
+                for mask, row, ok in zip(masks, rates, covered):
+                    if not ok:
+                        with pytest.raises(CoverageError):
+                            station_rates(inst, mask > 0, n)
+                        continue
+                    assert list(row) == pytest.approx(station_rates(inst, mask > 0, n),
+                                                      rel=1e-12, abs=0.0)
 
 
 class TestColumnGeneration:
@@ -371,15 +536,17 @@ class TestBranchAndPrice:
         assert res.z <= heur + 1e-9
 
     def test_bound_honest_when_column_generation_is_cut(self):
-        # one pricing round leaves each root unconverged and unbranched, so
-        # its bound must stay below the true optimum
-        for seed in (0, 2, 8):
-            inst = with_queue(generate(PRESETS["tiny"], seed), b=2)
+        # a short round limit leaves the root unconverged and unbranched; its
+        # bound must be finite (every round is exact) and stay below the
+        # true optimum
+        for seed, b, rounds in ((0, 2, 1), (2, 2, 1), (8, 2, 1), (8, 2, 2), (0, 1, 1)):
+            cell = f"seed {seed}, b={b}, cg_round_limit={rounds}"
+            inst = with_queue(generate(PRESETS["tiny"], seed), b=b)
             opt = solve_mip(build_evcec(inst).model).objective
-            res = branch_and_price(inst, BpLimits(cg_round_limit=1))
-            assert res.bound <= opt + 1e-6 * abs(opt), f"seed {seed}"
-            assert res.status == "feasible" and res.gap > 0.0, f"seed {seed}"
-            assert check_feasible(inst, res.incumbent).feasible
+            res = branch_and_price(inst, BpLimits(cg_round_limit=rounds))
+            assert -math.inf < res.bound <= opt + 1e-6 * abs(opt), cell
+            assert res.status == "feasible" and res.gap > 0.0, cell
+            assert check_feasible(inst, res.incumbent).feasible, cell
 
     def test_determinism(self):
         inst = generate(PRESETS["tiny"], 6)
