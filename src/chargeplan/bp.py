@@ -8,6 +8,15 @@ row per node and the linking rows; its objective uses telescoped cost
 coefficients so that summing chosen column costs minus the initial-state
 rebate reproduces the original expected cost exactly.
 
+One master (``Master``) serves the whole search.  It is built once, with its
+linking rows, their penalty slacks and the convexity rows, and each round only
+appends the new lambda columns; the LP kernel extends its standard form in
+place.  Every solve warm-starts from the last basis: the previous round's
+within a node, the parent's final basis at a new branch node.  A new lambda is
+boxed in [0, 1], so its negative reduced cost is repaired by a bound flip and
+the dual simplex carries on from there.  Branching fixings never rebuild the
+master: a column they rule out keeps its lambda at 0 through a bound override.
+
 Pricing is exact and needs no MILP: once a node's open vector is fixed,
 arrival rates follow in closed form from the logit shares and each open
 station takes its cheapest admissible post count, so ``solve_pricing``
@@ -47,9 +56,9 @@ from .heuristic import (
     local_search,
 )
 from .instance import Instance, attraction_matrix, coverage_sets, rho_table_for
-from .milp import EQ, GE, Model, best_first, solve_lp
+from .milp import EQ, GE, INF, LpBasis, Model, best_first, solve_lp
 
-PENALTY_COST = 1e7   # linking-row slack and artificial-column price
+PENALTY_COST = 1e7   # linking-row slack and convexity-row artificial price
 RC_TOL = 1e-6        # a column must beat its convexity dual by this much
 INT_TOL = 1e-6
 PRICING_COLUMNS = 20  # columns a node may add per round, best first
@@ -66,7 +75,6 @@ class Column:
     open: tuple[bool, ...]
     posts: tuple[int, ...]
     cost: float
-    artificial: bool = False
 
     def key(self):
         return (self.node, self.open, self.posts)
@@ -93,9 +101,11 @@ class RmpDuals:
 class RmpSolution:
     value: float
     duals: RmpDuals
-    node_columns: dict
-    lambdas: dict
-    penalty: float
+    node_columns: dict      # n -> the node's columns the fixings allow
+    lambdas: dict           # n -> their lambda values
+    penalty: float          # total value of the slacks and artificials
+    basis: LpBasis | None = None
+    pivots: int = 0
 
     def aggregates(self, inst: Instance):
         """Lambda-weighted open and post values per (node, location)."""
@@ -155,6 +165,7 @@ class BranchNode:
     fixings: Fixings
     parent_bound: float
     depth: int
+    basis: LpBasis | None = None   # the parent's final master basis
 
 
 @dataclass(frozen=True)
@@ -164,6 +175,10 @@ class BpLimits:
     node_limit: int | None = None
     cg_round_limit: int = 200
     root_only: bool = False
+
+    def __post_init__(self):
+        if self.cg_round_limit < 1:
+            raise ValueError(f"cg_round_limit must be >= 1, got {self.cg_round_limit}")
 
 
 @dataclass
@@ -175,6 +190,8 @@ class CgResult:
     rmp: RmpSolution | None
     new_columns: list
     iterations: list
+    master_s: float = 0.0       # wall time in solve_rmp
+    pricing_s: float = 0.0      # wall time in solve_pricing
 
 
 @dataclass
@@ -231,125 +248,118 @@ def columns_from_deployment(inst: Instance, coeffs: CostCoeffs, dep: Deployment)
     return [make_column(coeffs, n, dep.open[n], dep.posts[n]) for n in inst.node_ids()]
 
 
-def _artificial_column(inst: Instance, fixings: Fixings, n: int) -> Column:
-    """Fixings-compatible placeholder priced at PENALTY_COST; keeps the
-    convexity row feasible when no real column survives the filter."""
-    open_row = []
-    posts_row = []
-    for j in range(inst.n_locations):
-        fx = fixings.x_fix.get((n, j))
-        is_open = True if fx is None else bool(fx)
-        open_row.append(is_open)
-        if not is_open:
-            posts_row.append(0)
-            continue
-        lo = max(1, fixings.post_lo.get((n, j), 1))
-        hi = min(inst.locations[j].m_max, fixings.post_hi.get((n, j), inst.locations[j].m_max))
-        posts_row.append(max(lo, hi))
-    return Column(node=n, open=tuple(open_row), posts=tuple(posts_row),
-                  cost=PENALTY_COST, artificial=True)
-
-
 # ---------------------------------------------------------------------------
 # Restricted master problem
 
 
-def build_rmp(inst: Instance, coeffs: CostCoeffs, columns, fixings: Fixings):
-    """Master LP over the column pool.  Returns (Model, node_columns, lambda
-    var ids, row index maps).  Linking rows carry penalty slacks so the LP is
-    always feasible; a node whose pool is emptied by the fixings receives an
-    artificial column."""
-    node_columns = {n: [] for n in inst.node_ids()}
-    for col in columns:
-        if fixings.compatible(col):
-            node_columns[col.node].append(col)
-    for n in inst.node_ids():
-        if not node_columns[n]:
-            node_columns[n] = [_artificial_column(inst, fixings, n)]
+class Master:
+    """The restricted master of one branch-and-price search, built once.
 
-    m = Model("rmp")
-    lam_vars = {n: [] for n in inst.node_ids()}
-    obj = []
-    for n in inst.node_ids():
-        for idx, col in enumerate(node_columns[n]):
-            vid = m.add_var(lower=0.0, upper=1.0, name=f"lam[{n},{idx}]")
-            lam_vars[n].append(vid)
-            obj.append((vid, col.cost))
+    A >= linking row per (node, location) for the open flags and one for the
+    post counts, each with a slack priced at PENALTY_COST, and an equality
+    convexity row per node with an artificial in [0, 1] priced the same, so
+    the master is feasible whatever columns the fixings leave.  ``add``
+    appends one lambda in [0, 1] per new column and never rebuilds: existing
+    variable ids and any ``LpBasis`` of the master stay valid.
+    """
 
-    row_open = {}
-    row_posts = {}
-    row_conv = {}
-    for n in inst.node_ids():
-        node = inst.node(n)
-        parent = node.parent
-        for j in range(inst.n_locations):
-            terms = [
-                (lam_vars[n][idx], 1.0 if col.open[j] else 0.0)
-                for idx, col in enumerate(node_columns[n])
-            ]
-            if parent is None:
-                rhs = 1.0 if inst.locations[j].x0 else 0.0
-            else:
-                rhs = 0.0
-                terms += [
-                    (lam_vars[parent][idx], -1.0 if col.open[j] else 0.0)
-                    for idx, col in enumerate(node_columns[parent])
-                ]
-            slack = m.add_var(lower=0.0, name=f"pen_x[{n},{j}]")
-            terms.append((slack, 1.0))
-            obj.append((slack, PENALTY_COST))
-            terms = [(v, c) for v, c in terms if c != 0.0]
-            row_open[n, j] = m.add_constraint(terms, GE, rhs, name=f"link_x[{n},{j}]")
-        for j in range(inst.n_locations):
-            terms = [
-                (lam_vars[n][idx], float(col.posts[j]))
-                for idx, col in enumerate(node_columns[n])
-            ]
-            if parent is None:
-                rhs = float(inst.locations[j].y0)
-            else:
-                rhs = 0.0
-                terms += [
-                    (lam_vars[parent][idx], -float(col.posts[j]))
-                    for idx, col in enumerate(node_columns[parent])
-                ]
-            slack = m.add_var(lower=0.0, name=f"pen_p[{n},{j}]")
-            terms.append((slack, 1.0))
-            obj.append((slack, PENALTY_COST))
-            terms = [(v, c) for v, c in terms if c != 0.0]
-            row_posts[n, j] = m.add_constraint(terms, GE, rhs, name=f"link_p[{n},{j}]")
-    for n in inst.node_ids():
-        row_conv[n] = m.add_constraint(
-            [(vid, 1.0) for vid in lam_vars[n]], EQ, 1.0, name=f"conv[{n}]"
-        )
-    m.set_objective(obj, offset=-coeffs.psi)
-    return m, node_columns, lam_vars, (row_open, row_posts, row_conv)
+    def __init__(self, inst: Instance, coeffs: CostCoeffs, columns=()):
+        self.inst, self.coeffs = inst, coeffs
+        self.model = Model("rmp")
+        self.columns: list[Column] = []
+        self.lam: list[int] = []       # lambda variable id of each column
+        self.penalized: list[int] = []  # slacks and artificials
+        self.artificial: dict[int, int] = {}
+        self.row_open, self.row_posts, self.row_conv = {}, {}, {}
+        self._keys = set()
+        for n in inst.node_ids():
+            root = inst.node(n).parent is None
+            for j, loc in enumerate(inst.locations):
+                slack = self._penalized(f"pen_x[{n},{j}]", INF)
+                self.row_open[n, j] = self.model.add_constraint(
+                    [(slack, 1.0)], GE, float(loc.x0) if root else 0.0, name=f"link_x[{n},{j}]")
+            for j, loc in enumerate(inst.locations):
+                slack = self._penalized(f"pen_p[{n},{j}]", INF)
+                self.row_posts[n, j] = self.model.add_constraint(
+                    [(slack, 1.0)], GE, float(loc.y0) if root else 0.0, name=f"link_p[{n},{j}]")
+        for n in inst.node_ids():
+            self.artificial[n] = self._penalized(f"art[{n}]", 1.0)
+            self.row_conv[n] = self.model.add_constraint([(self.artificial[n], 1.0)], EQ, 1.0,
+                                                         name=f"conv[{n}]")
+        self.model.set_objective([(v, PENALTY_COST) for v in self.penalized],
+                                 offset=-coeffs.psi)
+        self.add(columns)
+
+    def _penalized(self, name: str, upper: float) -> int:
+        vid = self.model.add_var(lower=0.0, upper=upper, name=name)
+        self.penalized.append(vid)
+        return vid
+
+    def _entries(self, col: Column) -> list:
+        """(row, coeff) of a column's lambda: its node's rows, minus its
+        pattern in the linking rows of the node's children."""
+        n = col.node
+        kids = self.inst.children(n)
+        out = [(self.row_conv[n], 1.0)]
+        for rows, row in ((self.row_open, [float(v) for v in col.open]),
+                          (self.row_posts, [float(v) for v in col.posts])):
+            for j, v in enumerate(row):
+                if v:
+                    out.append((rows[n, j], v))
+                    out += [(rows[c, j], -v) for c in kids]
+        return out
+
+    def add(self, columns) -> list:
+        """Append the columns not in the master yet; returns them."""
+        new = []
+        for col in columns:
+            if col.key() not in self._keys:
+                self._keys.add(col.key())
+                new.append(col)
+        if new:
+            self.lam += self.model.add_columns([c.cost for c in new],
+                                               [self._entries(c) for c in new],
+                                               0.0, 1.0)
+            self.columns += new
+        return new
 
 
-def solve_rmp(inst: Instance, coeffs: CostCoeffs, columns, fixings: Fixings) -> RmpSolution:
-    model, node_columns, lam_vars, (row_open, row_posts, row_conv) = build_rmp(
-        inst, coeffs, columns, fixings
-    )
-    sol = solve_lp(model)
+def solve_rmp(master: Master, fixings: Fixings, basis: LpBasis | None = None) -> RmpSolution:
+    """Solve the master under the branching fixings, warm-started from
+    ``basis``.  A column the fixings rule out keeps its lambda at 0 through a
+    bound override, so the model never changes shape for a branch.
+
+    A lambda can rest at its upper bound 1 with a negative reduced cost; that
+    bound is implied by the convexity row, so its dual moves onto sigma, and
+    every column the fixings allow prices at >= 0 under the duals returned.
+    """
+    allowed = [fixings.compatible(c) for c in master.columns]
+    sol = solve_lp(master.model,
+                   {v: (0.0, 0.0) for v, ok in zip(master.lam, allowed) if not ok}, basis)
     if sol.status != "optimal":
         raise RuntimeError(f"master LP must stay feasible and bounded, got {sol.status}")
+    y, d = sol.duals, sol.reduced_costs
+    node_columns = {n: [] for n in master.inst.node_ids()}
+    lambdas = {n: [] for n in master.inst.node_ids()}
+    least = {n: min(0.0, d[v]) for n, v in master.artificial.items()}
+    for col, vid, ok in zip(master.columns, master.lam, allowed):
+        if ok:
+            node_columns[col.node].append(col)
+            lambdas[col.node].append(sol.values[vid])
+            least[col.node] = min(least[col.node], d[vid])
     duals = RmpDuals(
-        pi1={k: max(0.0, sol.duals[r]) for k, r in row_open.items()},
-        pi2={k: max(0.0, sol.duals[r]) for k, r in row_posts.items()},
-        sigma={n: sol.duals[r] for n, r in row_conv.items()},
+        pi1={k: max(0.0, y[r]) for k, r in master.row_open.items()},
+        pi2={k: max(0.0, y[r]) for k, r in master.row_posts.items()},
+        sigma={n: y[r] + least[n] for n, r in master.row_conv.items()},
     )
-    penalty = sum(
-        sol.values[vid]
-        for vid in range(model.num_vars)
-        if model.vars[vid].name.startswith("pen_") and sol.values[vid] > 1e-9
-    )
-    lambdas = {n: [sol.values[v] for v in lam_vars[n]] for n in inst.node_ids()}
     return RmpSolution(
         value=sol.objective,
         duals=duals,
         node_columns=node_columns,
         lambdas=lambdas,
-        penalty=penalty,
+        penalty=sum(sol.values[v] for v in master.penalized),
+        basis=sol.basis,
+        pivots=sol.pivots,
     )
 
 
@@ -466,39 +476,51 @@ def solve_pricing(inst: Instance, n: int, coeffs: CostCoeffs, duals: RmpDuals,
 # Column generation
 
 
-def column_generation(inst: Instance, coeffs: CostCoeffs, pool: list,
-                      fixings: Fixings, limits: BpLimits | None = None,
-                      deadline: float | None = None) -> CgResult:
-    """Price-and-solve loop for one branch node.
+def column_generation(master: Master, fixings: Fixings, limits: BpLimits | None = None,
+                      deadline: float | None = None,
+                      basis: LpBasis | None = None) -> CgResult:
+    """Price-and-solve loop for one branch node on the search's master.
 
-    Pricing is exact, so each round gives a Lagrangian bound and
-    ``lagrangian_lb`` is the best of them.  The deadline is checked between
-    node pricings; a round it cuts short adds no bound and no column.
+    The first round re-solves the master from ``basis`` (the parent node's
+    final basis), each later round from the round before, after appending
+    the columns pricing found.  Pricing is exact, so each round gives a
+    Lagrangian bound and ``lagrangian_lb`` is the best of them.  The deadline
+    is checked between node pricings; a round it cuts short adds no bound and
+    no column.  Every round solves the master once and is logged.
     """
+    inst, coeffs = master.inst, master.coeffs
     limits = limits or BpLimits()
     iterations = []
     new_columns = []
-    seen = {c.key() for c in pool}
     best_lb = -math.inf
+    master_s = pricing_s = 0.0
+    status = "limit"
     for round_no in range(limits.cg_round_limit):
-        rmp = solve_rmp(inst, coeffs, pool, fixings)
-        added = []
+        t0 = time.perf_counter()
+        rmp = solve_rmp(master, fixings, basis)
+        t1 = time.perf_counter()
+        basis = rmp.basis
         node_rcs = {}
+        found = []
+        stop = None
         for n in inst.node_ids():
             if deadline is not None and time.monotonic() > deadline:
-                return CgResult("limit", rmp.value, best_lb, rmp.duals, rmp,
-                                new_columns, iterations)
+                stop = "limit"
+                break
             outcome = solve_pricing(inst, n, coeffs, rmp.duals, fixings)
-            if outcome.status == "infeasible":
-                return CgResult("infeasible", math.inf, math.inf,
-                                None, None, new_columns, iterations)
             node_rcs[n] = outcome.reduced_cost
-            for col in outcome.columns:
-                if col.key() not in seen:
-                    seen.add(col.key())
-                    added.append(col)
-        lb_round = rmp.value + sum(min(0.0, rc) for rc in node_rcs.values())
-        best_lb = max(best_lb, lb_round)
+            if outcome.status == "infeasible":
+                stop = "infeasible"
+                break
+            found += outcome.columns
+        master_s += t1 - t0
+        pricing_s += time.perf_counter() - t1
+        added = []
+        lb_round = -math.inf
+        if stop is None:
+            added = master.add(found)
+            lb_round = rmp.value + sum(min(0.0, rc) for rc in node_rcs.values())
+            best_lb = max(best_lb, lb_round)
         iterations.append(
             {
                 "round": round_no,
@@ -506,16 +528,20 @@ def column_generation(inst: Instance, coeffs: CostCoeffs, pool: list,
                 "lagrangian_lb": lb_round,
                 "columns_added": len(added),
                 "penalty": rmp.penalty,
+                "pivots": rmp.pivots,
                 "reduced_costs": node_rcs,
             }
         )
-        if not added:
-            return CgResult("converged", rmp.value, best_lb,
-                            rmp.duals, rmp, new_columns, iterations)
-        pool.extend(added)
-        new_columns.extend(added)
-    rmp = solve_rmp(inst, coeffs, pool, fixings)
-    return CgResult("limit", rmp.value, best_lb, rmp.duals, rmp, new_columns, iterations)
+        new_columns += added
+        if stop == "infeasible":
+            return CgResult("infeasible", math.inf, math.inf, None, None,
+                            new_columns, iterations, master_s, pricing_s)
+        if stop is None and not added:
+            status = "converged"
+        if stop or not added:
+            break
+    return CgResult(status, rmp.value, best_lb, rmp.duals, rmp, new_columns, iterations,
+                    master_s, pricing_s)
 
 
 # ---------------------------------------------------------------------------
@@ -647,27 +673,23 @@ def branch_and_price(inst: Instance, limits: BpLimits | None = None) -> BpResult
     t0 = time.monotonic()
     deadline = None if limits.time_limit_s is None else t0 + limits.time_limit_s
     coeffs = cost_coefficients(inst)
-    stats = {"branch_nodes": 0, "cg_rounds": 0, "columns": 0, "log": []}
-    pool: list[Column] = []
-    seen = set()
+    stats = {"branch_nodes": 0, "cg_rounds": 0, "columns": 0, "master_s": 0.0,
+             "pricing_s": 0.0, "log": []}
+    master = Master(inst, coeffs)
 
     def audited(dep: Deployment | None) -> list:
         """[(objective, plan)] for a plan that passes the audit, with its
-        columns added to the pool; [] otherwise."""
+        columns added to the master; [] otherwise."""
         if dep is None or not check_feasible(inst, dep).feasible:
             return []
-        for c in columns_from_deployment(inst, coeffs, dep):
-            if c.key() not in seen:
-                seen.add(c.key())
-                pool.append(c)
-                stats["columns"] += 1
+        master.add(columns_from_deployment(inst, coeffs, dep))
         return [(objective_value(inst, dep), dep)]
 
     def expand(bnode: BranchNode, best: float):
-        cg = column_generation(inst, coeffs, pool, bnode.fixings, limits, deadline)
-        seen.update(c.key() for c in cg.new_columns)
-        stats["columns"] += len(cg.new_columns)
+        cg = column_generation(master, bnode.fixings, limits, deadline, bnode.basis)
         stats["cg_rounds"] += len(cg.iterations)
+        stats["master_s"] += cg.master_s
+        stats["pricing_s"] += cg.pricing_s
         stats["log"].append(
             {"branch_depth": bnode.depth, "fixings": len(bnode.fixings.x_fix),
              "cg": cg.iterations, "status": cg.status}
@@ -694,7 +716,7 @@ def branch_and_price(inst: Instance, limits: BpLimits | None = None) -> BpResult
             left, right = _branch_on_x(inst, bnode.fixings, n, j)
         else:
             left, right = _branch_on_posts(inst, bnode.fixings, n, j, split)
-        children = [(node_lb, BranchNode(fix, node_lb, bnode.depth + 1))
+        children = [(node_lb, BranchNode(fix, node_lb, bnode.depth + 1, cg.rmp.basis))
                     for fix in (left, right) if fix.consistent()]
         return children, plans, math.inf
 
@@ -706,5 +728,6 @@ def branch_and_price(inst: Instance, limits: BpLimits | None = None) -> BpResult
     res = best_first([(-math.inf, root)], plans, expand, deadline, limits.gap_tol,
                      limits.node_limit)
     stats["branch_nodes"] = res.nodes
+    stats["columns"] = len(master.columns)
     stats["time_s"] = time.monotonic() - t0
     return BpResult(res.status, res.plan, res.objective, res.bound, res.gap, stats)

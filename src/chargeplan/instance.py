@@ -90,6 +90,21 @@ class Instance:
     def max_posts(self) -> int:
         return max(loc.m_max for loc in self.locations)
 
+    def __hash__(self) -> int:
+        # every field is deeply immutable, so hash once per object: the
+        # lru_cache'd helpers below are looked up with the instance as key
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            h = hash((self.zones, self.locations, self.dist, self.tree, self.queue))
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __getstate__(self):
+        # a hash is only valid in the process that computed it (hash(None),
+        # the root's parent, is not fixed across processes before Python 3.12)
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
 
 @dataclass(frozen=True)
 class CoverageSets:

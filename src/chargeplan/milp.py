@@ -6,12 +6,17 @@ drives both the branch and bound here and branch-and-price in ``bp``, with a
 bound that a time, node or round limit never lifts above the optimum.
 Variable bounds stay implicit: a nonbasic variable rests at its lower or upper
 bound, and each row's sense lives in the bounds of its logical variable.  The
-standard form is built once per model; branch-and-bound children re-optimise
-from their parent's basis, which a bound fix leaves dual feasible, so only the
-root LP starts from the all-logical basis.  Dense arrays are deliberate: every
-model this package solves is desk scale, and a self-contained kernel keeps
-results reproducible.  The narrow ``solve_lp`` / ``solve_mip`` surface lets an
-external solver be adapted in later without touching callers.
+standard form is built once per model and grows in place when columns are
+appended (``Model.add_columns``); branch-and-bound children re-optimise from
+their parent's basis, which a bound fix leaves dual feasible, so only the root
+LP starts from the all-logical basis.  A basis stays usable after an append:
+the new columns start nonbasic at their lower bound.  A run that stalls on
+dual degeneracy restarts on slightly perturbed costs and then returns to the
+true ones, and columns whose reduced costs come back wrong-signed by noise
+after a flip are not flipped again.  Dense arrays are deliberate: every model this package solves is
+desk scale, and a self-contained kernel keeps results reproducible.  The
+narrow ``solve_lp`` / ``solve_mip`` surface lets an external solver be adapted
+in later without touching callers.
 
 Dual sign convention for minimization: duals are shadow prices d(objective)/
 d(rhs), so >= rows get nonnegative duals, <= rows nonpositive, = rows free.
@@ -39,6 +44,8 @@ _INT_TOL = 1e-6
 _REFACTOR_EVERY = 100   # basis updates between refactorisations
 _MAX_PIVOTS_PER_COLUMN = 50   # iteration guard of one dual simplex run
 _ROUNDS = 20            # dual simplex restarts after flips or a dual phase 1
+_STALL_PIVOTS = 100     # pivots in a row with a dual step under _OPT_TOL: stalled
+_NOISE_GAP = 1e-9       # relative objective gain below which a repeated flip is noise
 
 
 class KernelError(RuntimeError):
@@ -66,6 +73,22 @@ class ConstraintDef:
     name: str
 
 
+def _nonzero_terms(pairs, count: int, what: str, where: str) -> dict[int, float]:
+    """{id: coeff} of the nonzero (id, coeff) pairs of a row or a column, each
+    id in range(count) and listed once."""
+    clean: dict[int, float] = {}
+    seen = set()
+    for key, coeff in pairs:
+        if key in seen:
+            raise ModelError(f"duplicate {what} {key} in {where}")
+        seen.add(key)
+        if not 0 <= key < count:
+            raise ModelError(f"unknown {what} id {key} in {where}")
+        if coeff != 0.0:
+            clean[key] = float(coeff)
+    return clean
+
+
 class Model:
     """Minimization MILP: variables with bounds, linear rows, linear objective."""
 
@@ -75,7 +98,8 @@ class Model:
         self.cons: list[ConstraintDef] = []
         self.obj: dict[int, float] = {}
         self.obj_offset: float = 0.0
-        self._std = None  # standard form for solve_lp, dropped on every change
+        self._std = None  # standard form for solve_lp: add_columns extends it,
+                          # every other change drops it
 
     def add_var(self, kind: str = CONTINUOUS, lower: float = 0.0, upper: float = INF,
                 name: str = "") -> int:
@@ -96,20 +120,40 @@ class Model:
     def add_constraint(self, terms, sense: str, rhs: float, name: str = "") -> int:
         if sense not in (LE, GE, EQ):
             raise ModelError(f"unknown constraint sense {sense!r}")
-        seen = set()
-        clean = []
-        for vid, coeff in terms:
-            if vid in seen:
-                raise ModelError(f"duplicate variable {vid} in constraint {name!r}")
-            seen.add(vid)
-            if not 0 <= vid < len(self.vars):
-                raise ModelError(f"unknown variable id {vid} in constraint {name!r}")
-            if coeff != 0.0:
-                clean.append((vid, float(coeff)))
+        clean = _nonzero_terms(terms, len(self.vars), "variable", f"constraint {name!r}")
         idx = len(self.cons)
         self._std = None
-        self.cons.append(ConstraintDef(tuple(clean), sense, float(rhs), name or f"c{idx}"))
+        self.cons.append(ConstraintDef(tuple(clean.items()), sense, float(rhs),
+                                       name or f"c{idx}"))
         return idx
+
+    def add_columns(self, costs, entries, lower: float = 0.0, upper: float = INF) -> list[int]:
+        """Append continuous variables together with their entries in existing
+        rows: column k has objective coefficient ``costs[k]`` and the
+        (row, coeff) pairs ``entries[k]``.  Unlike ``add_var`` this keeps what
+        ``solve_lp`` holds for the model: the cached standard form grows in
+        place, and an ``LpBasis`` taken before the append still warm-starts
+        the larger model, with the new columns nonbasic at their lower bound."""
+        if lower > upper:
+            raise ModelError(f"variable lower bound {lower} exceeds upper bound {upper}")
+        first = len(self.vars)
+        cols = [_nonzero_terms(col, len(self.cons), "row", f"column {vid}")
+                for vid, col in enumerate(entries, first)]
+        if len(cols) != len(costs):
+            raise ModelError(f"{len(costs)} costs for {len(cols)} columns")
+        by_row: dict[int, list] = {}
+        for vid, (cost, col) in enumerate(zip(costs, cols), first):
+            self.vars.append(VarDef(vid, CONTINUOUS, float(lower), float(upper), f"v{vid}"))
+            if cost != 0.0:
+                self.obj[vid] = float(cost)
+            for row, coeff in col.items():
+                by_row.setdefault(row, []).append((vid, coeff))
+        for row, terms in by_row.items():
+            con = self.cons[row]
+            self.cons[row] = ConstraintDef(con.terms + tuple(terms), con.sense, con.rhs, con.name)
+        if self._std is not None:
+            self._std.append(cols, float(lower), float(upper), costs)
+        return list(range(first, len(self.vars)))
 
     def set_objective(self, terms, offset: float = 0.0) -> None:
         obj: dict[int, float] = {}
@@ -144,6 +188,7 @@ class LpSolution:
     duals: dict[int, float]
     reduced_costs: dict[int, float]
     basis: LpBasis | None = None   # final basis of an optimal solve, for warm starts
+    pivots: int = 0                # basis changes the dual simplex made, phase 1 included
 
 
 @dataclass
@@ -174,11 +219,22 @@ class LpBasis:
     """A simplex basis, enough to warm-start ``solve_lp``.
 
     ``head[i]`` is the column basic in row i and ``at_upper`` lists the
-    nonbasic columns resting at their upper bound.  Column j < num_vars is
-    variable j; column num_vars + i is the logical of row i.
+    nonbasic columns resting at their upper bound.  Column j < n is variable
+    j and column n + i is the logical of row i, where n is the number of
+    variables when the basis was taken.
     """
     head: np.ndarray
     at_upper: np.ndarray
+    n: int
+
+    def columns(self, n: int):
+        """(head, at_upper) for the model grown to n variables by
+        ``Model.add_columns``: the logicals move up by the columns appended."""
+        if n < self.n:
+            raise ModelError(f"basis of a {self.n}-variable model, model has {n}")
+        shift = n - self.n
+        return (np.where(self.head >= self.n, self.head + shift, self.head),
+                np.where(self.at_upper >= self.n, self.at_upper + shift, self.at_upper))
 
 
 class _StandardForm:
@@ -187,13 +243,16 @@ class _StandardForm:
     The logical s_i = -a_i.x carries the sense and right-hand side of row i
     in its bounds, so every variable bound stays implicit, [A | I] always has
     full row rank and the all-logical basis is the identity.  Built once per
-    model; bound overrides only replace ``lo`` and ``up``.
+    model; bound overrides only replace ``lo`` and ``up``, and appended
+    columns go into spare capacity of ``A``'s buffer.
     """
 
     def __init__(self, model: Model):
         n, m = model.num_vars, model.num_constraints
         self.n, self.m = n, m
-        self.A = np.zeros((m, n))
+        # column-major, so that appended columns and column gathers are contiguous
+        self._buf = np.zeros((m, n), order="F")
+        self.A = self._buf
         self.lo = np.empty(n + m)
         self.up = np.empty(n + m)
         for i, con in enumerate(model.cons):
@@ -209,6 +268,24 @@ class _StandardForm:
             self.c[vid] = coeff
         self.offset = model.obj_offset
         self.rows_of = [np.flatnonzero(self.A[:, j]) for j in range(n)]
+
+    def append(self, cols: list[dict], lower: float, upper: float, costs) -> None:
+        """Add structural columns ({row: coeff} each) after the last one; the
+        logicals move up by their number."""
+        n, k = self.n, len(cols)
+        if n + k > self._buf.shape[1]:
+            buf = np.zeros((self.m, max(n + k, 2 * n)), order="F")
+            buf[:, :n] = self.A
+            self._buf = buf
+        for j, col in enumerate(cols, n):
+            for row, coeff in col.items():
+                self._buf[row, j] = coeff
+            self.rows_of.append(np.fromiter(sorted(col), dtype=np.intp, count=len(col)))
+        self.A = self._buf[:, :n + k]
+        self.lo = np.concatenate([self.lo[:n], np.full(k, lower), self.lo[n:]])
+        self.up = np.concatenate([self.up[:n], np.full(k, upper), self.up[n:]])
+        self.c = np.concatenate([self.c[:n], np.asarray(costs, dtype=float), self.c[n:]])
+        self.n = n + k
 
 
 class _DualSimplex:
@@ -234,6 +311,7 @@ class _DualSimplex:
         self.range = up - lo
         self.at_up = (at_upper & finite_up) | (~self.finite_lo & finite_up)
         self.x = np.where(self.at_up, up, np.where(self.finite_lo, lo, 0.0))
+        self.pivots = 0
         self.refactor()
 
     def refactor(self) -> None:
@@ -291,12 +369,14 @@ class _DualSimplex:
         np.add.at(v, cols[~s] - n, delta[~s])
         self.x[self.head] -= self.binv @ v
 
-    def run(self) -> str:
+    def run(self, stall_pivots: int | None = None) -> str:
         """Dual phase 2 from a dual feasible basis: 'optimal' once the
         freshly refactorised basis is primal feasible, 'infeasible' on an
-        unbounded dual ray."""
+        unbounded dual ray, 'stalled' after ``stall_pivots`` pivots in a row
+        that barely move the dual (dual degeneracy)."""
         std = self.std
         A, n = std.A, std.n
+        flat = 0
         for _ in range(_MAX_PIVOTS_PER_COLUMN * (n + std.m + 40)):
             head = self.head
             xb = self.x[head]
@@ -340,6 +420,9 @@ class _DualSimplex:
             harris = max(((dc[k:] + np.copysign(_OPT_TOL, tail_a)) / tail_a).min(), ratio[k])
             near = np.flatnonzero(ratio[k:] <= harris)
             pick = k + int(near[np.argmax(np.abs(tail_a[near]))])
+            flat = flat + 1 if ratio[pick] < _OPT_TOL else 0
+            if stall_pivots is not None and flat > stall_pivots:
+                return "stalled"
             q = int(cand[pick])
             if k:
                 self.flip(cand[:k])
@@ -380,6 +463,7 @@ class _DualSimplex:
             touched = np.append(touched, r)
             self.w[touched] = np.einsum("ij,ij->i", binv[touched], binv[touched])
             self.updates += 1
+            self.pivots += 1
             if self.updates >= _REFACTOR_EVERY:
                 self.refactor()
         raise KernelError("dual simplex iteration guard tripped")
@@ -394,36 +478,64 @@ def _phase1_bounds(lo: np.ndarray, up: np.ndarray):
     return (np.where(boxed | flo, 0.0, -1.0), np.where(boxed | fup, 0.0, 1.0))
 
 
+def _perturbed(cost: np.ndarray, sim: _DualSimplex, seed: int) -> np.ndarray:
+    """Costs that break a stalled run's dual degeneracy: each movable
+    nonbasic column's cost moves by a small random amount, relative to its
+    size, in the direction its bound already favours, so the basis stays dual
+    feasible while the ties among reduced costs break."""
+    step = (10 * _OPT_TOL + _OPT_TOL * np.abs(cost)) \
+        * np.random.default_rng(seed).uniform(0.5, 1.0, cost.size)
+    side = np.where(sim.at_up, -1.0, np.where(sim.finite_lo, 1.0, 0.0))
+    return cost + np.where((sim.pos < 0) & sim.movable, side * step, 0.0)
+
+
 def _optimize(std: _StandardForm, lo, up, cost, head, at_upper):
     """Dual simplex from the given basis, with a dual phase 1 when that basis
-    is not dual feasible.  Returns (status, solver) with status 'optimal',
-    'infeasible' or 'dual_infeasible' (no dual feasible basis exists, so the
-    LP is unbounded or infeasible)."""
+    is not dual feasible.  A run that stalls restarts on perturbed costs; its
+    optimal basis then goes back to the true costs, where bound flips (or a
+    dual phase 1) repair what the perturbation hid.  Returns (status, solver,
+    pivots) with status 'optimal', 'infeasible' or 'dual_infeasible' (no dual
+    feasible basis exists, so the LP is unbounded or infeasible)."""
     sim = _DualSimplex(std, lo, up, cost, head, at_upper)
     solved = False
-    for _ in range(_ROUNDS):
+    pivots = 0  # of the solvers already discarded
+    flipped = np.zeros(std.n + std.m, dtype=bool)
+    for round_no in range(_ROUNDS):
         bad = sim.wrong_sign()
+        if (solved and flipped[bad].all() and np.abs(sim.d[bad]) @ sim.range[bad]
+                <= _NOISE_GAP * max(1.0, abs(sim.c @ sim.x))):
+            # only columns flipped before are wrong again, and flipping them
+            # all could not gain a relative 1e-9 of the objective: that is the
+            # noise of these reduced costs, and more flips would cycle
+            bad[:] = False
         if not bad.any():
             if solved:
-                return "optimal", sim
+                return "optimal", sim, pivots + sim.pivots
         else:
             boxed = bad & np.isfinite(sim.range)
             if boxed.any():
                 sim.flip(np.flatnonzero(boxed))
+                flipped |= boxed
             if (bad & ~boxed).any():
                 alo, aup = _phase1_bounds(lo, up)
                 aux = _DualSimplex(std, alo, aup, cost, sim.head, sim.at_up)
                 aux.flip(np.flatnonzero(aux.wrong_sign()))
                 if aux.run() != "optimal":
                     raise KernelError("dual phase 1 must reach an optimum")
+                pivots += sim.pivots + aux.pivots
                 sim = _DualSimplex(std, lo, up, cost, aux.head, aux.d < 0.0)
                 bad = sim.wrong_sign()
                 if (bad & ~np.isfinite(sim.range)).any():
-                    return "dual_infeasible", None
+                    return "dual_infeasible", None, pivots
                 sim.flip(np.flatnonzero(bad))
-        if sim.run() == "infeasible":
-            return "infeasible", None
-        solved = True
+        status = sim.run(_STALL_PIVOTS)
+        if status == "infeasible":
+            return "infeasible", None, pivots + sim.pivots
+        solved = status == "optimal"
+        if not solved or sim.c is not cost:
+            pivots += sim.pivots
+            costs = cost if solved else _perturbed(cost, sim, round_no)
+            sim = _DualSimplex(std, lo, up, costs, sim.head, sim.at_up)
     raise KernelError("dual simplex did not settle on a dual feasible optimum")
 
 
@@ -433,7 +545,8 @@ def solve_lp(model: Model, overrides: dict[int, tuple[float, float]] | None = No
 
     ``overrides`` tightens variable bounds.  ``basis`` warm-starts the dual
     simplex from an earlier solution's basis, typically the parent's in
-    branch and bound, where tightening a bound keeps it dual feasible.
+    branch and bound, where tightening a bound keeps it dual feasible, or the
+    last solve's before columns were appended.
     """
     if model._std is None:
         model._std = _StandardForm(model)
@@ -451,16 +564,19 @@ def solve_lp(model: Model, overrides: dict[int, tuple[float, float]] | None = No
     if basis is None:
         head = np.arange(n, n + m)
     else:
-        head = basis.head
-        at_upper[basis.at_upper] = True
+        if len(basis.head) != m:
+            raise ModelError(f"basis has {len(basis.head)} rows, model has {m}")
+        head, upper = basis.columns(n)
+        at_upper[upper] = True
 
-    status, sim = _optimize(std, lo, up, std.c, head, at_upper)
+    status, sim, pivots = _optimize(std, lo, up, std.c, head, at_upper)
     if status == "dual_infeasible":
-        status, _ = _optimize(std, lo, up, np.zeros(n + m), head, at_upper)
+        status, _, more = _optimize(std, lo, up, np.zeros(n + m), head, at_upper)
+        pivots += more
         if status == "optimal":
-            return LpSolution("unbounded", {}, -INF, {}, {})
+            return LpSolution("unbounded", {}, -INF, {}, {}, pivots=pivots)
     if status != "optimal":
-        return LpSolution("infeasible", {}, INF, {}, {})
+        return LpSolution("infeasible", {}, INF, {}, {}, pivots=pivots)
     x = sim.x[:n]
     return LpSolution(
         status="optimal",
@@ -468,7 +584,8 @@ def solve_lp(model: Model, overrides: dict[int, tuple[float, float]] | None = No
         objective=float(std.c[:n] @ x + std.offset),
         duals=dict(enumerate(sim.y.tolist())),
         reduced_costs=dict(enumerate(sim.d[:n].tolist())),
-        basis=LpBasis(sim.head.copy(), np.flatnonzero(sim.at_up & (sim.pos < 0))),
+        basis=LpBasis(sim.head.copy(), np.flatnonzero(sim.at_up & (sim.pos < 0)), n),
+        pivots=pivots,
     )
 
 

@@ -176,7 +176,9 @@ def parse_csv(text: str) -> list[dict]:
 
 def render_cg_log(stats: dict) -> str:
     """Text view of a branch-and-price run log: one line per column-generation
-    round under each branch node, with the per-node reduced costs."""
+    round under each branch node, with the master's simplex pivots and the
+    per-node reduced costs.  Wall times stay out, so the text is the same
+    on every run."""
     lines = []
     for entry in stats.get("log", []):
         lines.append(
@@ -192,7 +194,7 @@ def render_cg_log(stats: dict) -> str:
             lb_txt = f"{lb:.6g}" if lb > -math.inf else "-"
             lines.append(
                 f"  round {rec['round']:3d}  rmp={rec['rmp_value']:.6g}  "
-                f"lb={lb_txt}  "
+                f"lb={lb_txt}  piv={rec['pivots']}  "
                 f"cols+{rec['columns_added']}  rc[{rcs}]"
             )
     return "\n".join(lines) + ("\n" if lines else "")

@@ -15,6 +15,7 @@ from chargeplan import queueing as q
 from chargeplan.approx import approximate
 from chargeplan.bp import (
     Fixings,
+    Master,
     branch_and_price,
     column_generation,
     columns_from_deployment,
@@ -220,7 +221,7 @@ def test_criterion_9_decomposition_identities():
         inst = generate(PRESETS["tiny"], seed)
         coeffs = cost_coefficients(inst)
         pool = columns_from_deployment(inst, coeffs, best_greedy(inst))
-        res = column_generation(inst, coeffs, pool, Fixings())
+        res = column_generation(Master(inst, coeffs, pool), Fixings())
         assert res.status == "converged"
         values = [rec["rmp_value"] for rec in res.iterations]
         assert all(b <= a + 1e-7 for a, b in zip(values, values[1:]))

@@ -1,22 +1,24 @@
 import itertools
 import math
 import random
+import time
 
 import numpy as np
 import pytest
 
-from chargeplan import bp
+from chargeplan import bp, milp
 from chargeplan.bp import (
+    PENALTY_COST,
     PRICING_COLUMNS,
     RC_TOL,
     BpLimits,
     Column,
     CostCoeffs,
     Fixings,
+    Master,
     RmpDuals,
     RmpSolution,
     branch_and_price,
-    build_rmp,
     column_cost,
     column_generation,
     columns_from_deployment,
@@ -54,8 +56,10 @@ from chargeplan.instance import (
 )
 from chargeplan.milp import BINARY, EQ, GE, LE, MipLimits, Model, solve_mip
 from chargeplan.queueing import QueueConfig
+from chargeplan.report import render_cg_log
 
 from test_evcec import hand_instance
+from test_milp import record_runs
 
 
 def chain_instance(costs=1.0, n_locations=1, w=0.5, m_max=1):
@@ -283,7 +287,7 @@ class TestRmp:
         coeffs = cost_coefficients(inst)
         cheap = make_column(coeffs, 1, (True,), (1,))
         dear = make_column(coeffs, 1, (True,), (2,))
-        rmp = solve_rmp(inst, coeffs, [dear, cheap], Fixings())
+        rmp = solve_rmp(Master(inst, coeffs, [dear, cheap]), Fixings())
         assert rmp.value == pytest.approx(cheap.cost - coeffs.psi, rel=1e-9)
         assert rmp.penalty == pytest.approx(0.0, abs=1e-9)
 
@@ -293,36 +297,163 @@ class TestRmp:
         col_a = make_column(coeffs, 1, (True, False), (1, 0))
         col_b = make_column(coeffs, 1, (False, True), (0, 1))
         fixings = Fixings(x_fix={(1, 0): 0})
-        model, node_columns, _, _ = build_rmp(inst, coeffs, [col_a, col_b], fixings)
-        kept = node_columns[1]
-        assert col_b in kept and col_a not in kept
+        master = Master(inst, coeffs, [col_a, col_b])
+        rmp = solve_rmp(master, fixings)
+        assert rmp.node_columns[1] == [col_b] and rmp.lambdas[1] == [pytest.approx(1.0)]
+        # the column is held at 0 by a bound, not dropped from the master
+        assert master.columns == [col_a, col_b]
+        assert solve_rmp(master, Fixings()).node_columns[1] == [col_a, col_b]
 
     def test_artificial_injected_when_pool_emptied(self):
         inst = hand_instance(m_max=1)
         coeffs = cost_coefficients(inst)
         col = make_column(coeffs, 1, (True,), (1,))
         fixings = Fixings(x_fix={(1, 0): 0})
-        _, node_columns, _, _ = build_rmp(inst, coeffs, [col], fixings)
-        assert node_columns[1][0].artificial
+        rmp = solve_rmp(Master(inst, coeffs, [col]), fixings)
+        # the node's convexity row is met by its artificial alone
+        assert rmp.node_columns[1] == []
+        assert rmp.penalty >= 1.0 - 1e-9
+        assert rmp.value >= PENALTY_COST - coeffs.psi
 
     def test_value_nonincreasing_as_columns_arrive(self):
         inst = generate(PRESETS["tiny"], 9)
         coeffs = cost_coefficients(inst)
         dep = best_greedy(inst)
         pool = columns_from_deployment(inst, coeffs, dep)
-        v1 = solve_rmp(inst, coeffs, pool, Fixings()).value
+        master = Master(inst, coeffs, pool)
+        first = solve_rmp(master, Fixings())
         better = local_search(inst, dep)
-        pool = pool + columns_from_deployment(inst, coeffs, better)
-        v2 = solve_rmp(inst, coeffs, pool, Fixings()).value
+        master.add(columns_from_deployment(inst, coeffs, better))
+        v1, v2 = first.value, solve_rmp(master, Fixings(), first.basis).value
         assert v2 <= v1 + 1e-7
 
     def test_linking_duals_nonnegative(self):
         inst = generate(PRESETS["tiny"], 4)
         coeffs = cost_coefficients(inst)
         pool = columns_from_deployment(inst, coeffs, best_greedy(inst))
-        rmp = solve_rmp(inst, coeffs, pool, Fixings())
+        rmp = solve_rmp(Master(inst, coeffs, pool), Fixings())
         assert all(v >= 0.0 for v in rmp.duals.pi1.values())
         assert all(v >= 0.0 for v in rmp.duals.pi2.values())
+
+
+def reduced_cost(inst, col, duals):
+    """A column's reduced cost under master duals, from its pattern alone."""
+    n = col.node
+    rc = col.cost - duals.sigma[n]
+    for j in range(inst.n_locations):
+        rc -= duals.pi1[n, j] * col.open[j] + duals.pi2[n, j] * col.posts[j]
+        for c in inst.children(n):
+            rc += duals.pi1[c, j] * col.open[j] + duals.pi2[c, j] * col.posts[j]
+    return rc
+
+
+class TestPersistentMaster:
+    def test_matches_cold_master_every_round_and_branch(self, monkeypatch):
+        # the one master, grown round by round and re-solved warm under
+        # bound-override fixings, against a master built cold from the same
+        # compatible columns, through column generation along random
+        # branching sequences that start from the parent's final basis
+        solve = bp.solve_rmp
+        checked = branched = 0
+
+        def differential(master, fixings, basis=None):
+            nonlocal checked, branched
+            rmp = solve(master, fixings, basis)
+            allowed = [c for c in master.columns if fixings.compatible(c)]
+            cold = solve(Master(master.inst, master.coeffs, allowed), fixings)
+            assert rmp.value == pytest.approx(cold.value, rel=1e-9, abs=1e-9)
+            assert [c.key() for cols in rmp.node_columns.values() for c in cols] == \
+                [c.key() for n in master.inst.node_ids() for c in allowed if c.node == n]
+            for col in allowed:
+                assert reduced_cost(master.inst, col, rmp.duals) >= -1e-6
+            checked += 1
+            branched += bool(fixings.x_fix or fixings.post_hi)
+            return rmp
+
+        monkeypatch.setattr(bp, "solve_rmp", differential)
+        rng = random.Random(11)
+        for seed, b in ((3, 0), (10, 1), (5, 2), (9, 2), (0, 1), (13, 0), (46, 0), (7, 2)):
+            inst = with_queue(generate(PRESETS["tiny"], seed), b=b)
+            coeffs = cost_coefficients(inst)
+            master = Master(inst, coeffs, columns_from_deployment(
+                inst, coeffs, local_search(inst, best_greedy(inst))))
+            fixings, basis = Fixings(), None
+            for _depth in range(6):
+                cg = column_generation(master, fixings, basis=basis)
+                if cg.status == "infeasible":
+                    break
+                n, j = rng.choice(inst.node_ids()), rng.randrange(inst.n_locations)
+                if rng.random() < 0.5:
+                    kids = bp._branch_on_x(inst, fixings, n, j)
+                else:
+                    kids = bp._branch_on_posts(inst, fixings, n, j,
+                                               rng.randint(0, inst.locations[j].m_max - 1))
+                kids = [k for k in kids if k.consistent()]
+                if not kids:
+                    break
+                fixings, basis = rng.choice(kids), cg.rmp.basis
+        assert checked >= 50 and branched >= 30
+
+    def test_real_stalls_keep_the_root_master(self, monkeypatch):
+        # with a stall threshold of one degenerate pivot, the detector fires
+        # in the master LPs of these root column generations (tiny seed 9,
+        # b=2 among them); every root still converges to the same LP value
+        def root_value(inst):
+            coeffs = cost_coefficients(inst)
+            master = Master(inst, coeffs, columns_from_deployment(inst, coeffs, best_greedy(inst)))
+            return column_generation(master, Fixings()).lp_value
+
+        insts = [with_queue(generate(PRESETS["tiny"], seed), b=b)
+                 for seed in range(10) for b in range(3)]
+        expected = [root_value(inst) for inst in insts]
+        monkeypatch.setattr(milp, "_STALL_PIVOTS", 1)
+        statuses = record_runs(monkeypatch)
+        for inst, ref in zip(insts, expected):
+            assert root_value(inst) == pytest.approx(ref, rel=1e-9)
+        assert "stalled" in statuses
+
+    def test_call_counts_match_stats(self, monkeypatch):
+        # the traced benchmark wraps bp.solve_rmp and bp.column_generation by
+        # name and checks their calls against these two counters
+        calls = dict.fromkeys(("solve_rmp", "column_generation"), 0)
+        for name in calls:
+            def counted(*args, _fn=getattr(bp, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(bp, name, counted)
+        for seed, b, limits in ((3, 0, BpLimits()), (10, 1, BpLimits()),
+                                (0, 2, BpLimits(cg_round_limit=1))):
+            calls.update(dict.fromkeys(calls, 0))
+            res = branch_and_price(with_queue(generate(PRESETS["tiny"], seed), b=b), limits)
+            assert calls["solve_rmp"] == res.stats["cg_rounds"], (seed, b)
+            assert calls["column_generation"] == res.stats["branch_nodes"], (seed, b)
+            assert res.stats["cg_rounds"] == sum(len(e["cg"]) for e in res.stats["log"])
+        assert res.stats["branch_nodes"] >= 1
+
+    def test_round_cut_by_the_deadline_is_logged_without_bound(self):
+        inst = generate(PRESETS["tiny"], 4)
+        coeffs = cost_coefficients(inst)
+        master = Master(inst, coeffs, columns_from_deployment(inst, coeffs, best_greedy(inst)))
+        before = len(master.columns)
+        res = column_generation(master, Fixings(), deadline=time.monotonic() - 1.0)
+        assert res.status == "limit" and res.lagrangian_lb == -math.inf
+        assert len(res.iterations) == 1 and res.iterations[0]["lagrangian_lb"] == -math.inf
+        assert not res.new_columns and len(master.columns) == before
+
+    def test_round_limit_must_be_positive(self):
+        with pytest.raises(ValueError, match="cg_round_limit"):
+            BpLimits(cg_round_limit=0)
+
+    def test_log_carries_pivots_and_layer_times(self):
+        inst = generate(PRESETS["tiny"], 3)
+        res = branch_and_price(inst)
+        rounds = [rec for entry in res.stats["log"] for rec in entry["cg"]]
+        assert all(isinstance(rec["pivots"], int) and rec["pivots"] >= 0 for rec in rounds)
+        assert any(rec["pivots"] > 0 for rec in rounds)
+        assert 0.0 < res.stats["master_s"] and 0.0 < res.stats["pricing_s"]
+        assert res.stats["master_s"] + res.stats["pricing_s"] <= res.stats["time_s"]
+        again = branch_and_price(inst)
+        assert render_cg_log(again.stats) == render_cg_log(res.stats)
 
 
 class TestPricing:
@@ -399,13 +530,32 @@ class TestPricing:
                 duals = random_duals(inst, coeffs, rng)
                 check_pricing_against_oracles(inst, n, coeffs, duals, fixings, points)
 
+    @pytest.mark.parametrize("block_bits,seed,trials", [(2, 5, (10, 21, 24)), (1, 9, (12, 38))])
+    def test_block_bound_keeps_undecided_negative_costs(self, block_bits, seed, trials,
+                                                         monkeypatch):
+        # a block's bound counts the negative congestion-free cost of every
+        # flag it leaves undecided; without that part it overstates the block
+        # and the early stop skips blocks holding the best patterns.  These
+        # seeded duals are ones where the skip shows: a least reduced cost too
+        # high (seed 5, trial 21) or a column missing from the best list.
+        monkeypatch.setattr(bp, "BLOCK_BITS", block_bits)
+        rng = random.Random(1000 + seed)
+        inst = generate(PRESETS["tiny"], seed)
+        coeffs = cost_coefficients(inst)
+        points = {n: enumerate_scenario_points(inst, n) for n in inst.node_ids()}
+        for trial in range(max(trials) + 1):
+            duals = random_duals(inst, coeffs, rng)
+            if trial in trials:
+                for n in inst.node_ids():
+                    check_pricing_against_oracles(inst, n, coeffs, duals, Fixings(), points[n])
+
     def test_small_node_matches_mip_oracle(self):
         # node 1 of small seed 1 (b=1) under the master over the greedy plus
         # local-search columns; too many post profiles to list every point
         inst = with_queue(generate(PRESETS["small"], 1), b=1)
         coeffs = cost_coefficients(inst)
         pool = columns_from_deployment(inst, coeffs, local_search(inst, best_greedy(inst)))
-        duals = solve_rmp(inst, coeffs, pool, Fixings()).duals
+        duals = solve_rmp(Master(inst, coeffs, pool), Fixings()).duals
         out = check_pricing_against_oracles(inst, 1, coeffs, duals, Fixings())
         assert len(out.columns) == PRICING_COLUMNS
 
@@ -432,7 +582,7 @@ class TestColumnGeneration:
         pool = [make_column(coeffs, 1, mask, posts)
                 for mask, posts in enumerate_scenario_points(inst, 1)]
         best_cost = min(c.cost for c in pool)
-        res = column_generation(inst, coeffs, list(pool), Fixings())
+        res = column_generation(Master(inst, coeffs, pool), Fixings())
         assert res.status == "converged"
         assert len(res.iterations) == 1
         assert not res.new_columns
@@ -443,8 +593,8 @@ class TestColumnGeneration:
                              m_max=2)
         coeffs = cost_coefficients(inst)
         dep = best_greedy(inst)
-        res = column_generation(inst, coeffs,
-                                columns_from_deployment(inst, coeffs, dep), Fixings())
+        res = column_generation(Master(inst, coeffs, columns_from_deployment(inst, coeffs, dep)),
+                                Fixings())
         mip = solve_mip(build_evcec(inst).model)
         assert res.status == "converged"
         assert res.lp_value == pytest.approx(mip.objective, rel=1e-9)
@@ -454,7 +604,7 @@ class TestColumnGeneration:
             inst = generate(PRESETS["tiny"], seed)
             coeffs = cost_coefficients(inst)
             pool = columns_from_deployment(inst, coeffs, best_greedy(inst))
-            res = column_generation(inst, coeffs, pool, Fixings())
+            res = column_generation(Master(inst, coeffs, pool), Fixings())
             assert res.status == "converged"
             for rec in res.iterations:
                 if rec["lagrangian_lb"] > -math.inf:
@@ -466,7 +616,7 @@ class TestColumnGeneration:
         inst = generate(PRESETS["tiny"], 3)
         coeffs = cost_coefficients(inst)
         pool = columns_from_deployment(inst, coeffs, best_greedy(inst))
-        res = column_generation(inst, coeffs, pool, Fixings())
+        res = column_generation(Master(inst, coeffs, pool), Fixings())
         values = [rec["rmp_value"] for rec in res.iterations]
         assert all(values[i + 1] <= values[i] + 1e-7 for i in range(len(values) - 1))
 
@@ -477,7 +627,7 @@ class TestPrimalRepair:
         coeffs = cost_coefficients(inst)
         dep = local_search(inst, best_greedy(inst))
         pool = columns_from_deployment(inst, coeffs, dep)
-        rmp = solve_rmp(inst, coeffs, pool, Fixings())
+        rmp = solve_rmp(Master(inst, coeffs, pool), Fixings())
         repaired = primal_repair(inst, rmp)
         assert repaired == dep
 

@@ -236,4 +236,4 @@ class TestCgLog:
         assert code == 0
         text = log.read_text()
         assert "branch node depth=0" in text
-        assert "rmp=" in text and "rc[" in text
+        assert "rmp=" in text and "piv=" in text and "rc[" in text

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -53,6 +54,19 @@ def manual_instance(radius=5.0, dist_val=3.0, n_nodes=1, radii_by_node=None):
         tree=tuple(nodes),
         queue=QueueConfig(mu=4.0, alpha=0.9, b=0),
     )
+
+
+class TestHash:
+    def test_hash_computed_once_and_consistent(self):
+        a, b = generate(PRESETS["tiny"], 2), generate(PRESETS["tiny"], 2)
+        assert a == b and a is not b and hash(a) == hash(b)
+        pickled = pickle.dumps(a)
+        assert pickled == pickle.dumps(dataclasses.replace(a))  # no stored hash in it
+        back = pickle.loads(pickled)
+        assert back == a and hash(back) == hash(a)
+        q = with_queue(a, b=2)
+        assert q != a and hash(q) != hash(a)
+        assert hash(q) == hash(with_queue(b, b=2))
 
 
 class TestCoverage:

@@ -466,6 +466,18 @@ def cost_vector(model):
     return c
 
 
+def record_runs(monkeypatch):
+    """The statuses of every dual simplex run from here on, in order."""
+    run, statuses = milp._DualSimplex.run, []
+
+    def recorded(sim, stall_pivots=None):
+        statuses.append(run(sim, stall_pivots))
+        return statuses[-1]
+
+    monkeypatch.setattr(milp._DualSimplex, "run", recorded)
+    return statuses
+
+
 class TestKernelFailures:
     def test_duplicated_and_redundant_equality_rows(self):
         m = Model()
@@ -500,8 +512,105 @@ class TestKernelFailures:
         m.add_constraint([(x, 1.0), (y, 1.0)], LE, 4.0)
         m.add_constraint([(x, 2.0), (y, 2.0)], LE, 8.0)
         m.set_objective([(x, -1.0), (y, -1.0)])
+        basis = LpBasis(head=np.array([x, y]), at_upper=np.array([], dtype=int), n=2)
         with pytest.raises(KernelError):
-            solve_lp(m, basis=LpBasis(head=np.array([x, y]), at_upper=np.array([], dtype=int)))
+            solve_lp(m, basis=basis)
+
+    def test_stalled_run_restarts_on_perturbed_costs(self, monkeypatch):
+        # every solve below reports a stall on its first run, so it restarts
+        # on perturbed costs and goes back to the true costs afterwards; it
+        # must still end at the optimum found without the detour
+        rng = random.Random(808)
+        models = [random_lp(rng, rng.randint(2, 8), rng.randint(1, 6)) for _ in range(60)]
+        models += [random_mip(rng) for _ in range(30)]
+        expected = [solve_lp(m) for m in models]
+        run, stalled, perturbed = milp._DualSimplex.run, set(), []
+
+        def stall_once(sim, stall_pivots=None):
+            if stall_pivots is not None and id(sim.std) not in stalled:
+                stalled.add(id(sim.std))
+                return "stalled"
+            return run(sim, stall_pivots)
+
+        def recorded(cost, sim, seed):
+            perturbed.append(seed)
+            return perturb(cost, sim, seed)
+
+        perturb = milp._perturbed
+        monkeypatch.setattr(milp._DualSimplex, "run", stall_once)
+        monkeypatch.setattr(milp, "_perturbed", recorded)
+        for trial, (m, ref) in enumerate(zip(models, expected)):
+            sol = solve_lp(m)
+            assert sol.status == ref.status, f"trial {trial}"
+            if ref.status == "optimal":
+                assert sol.objective == pytest.approx(ref.objective, rel=1e-9, abs=1e-7)
+        assert len(perturbed) == len(models)
+
+    @pytest.mark.parametrize("costs,threshold,stalls",
+                             [((0.0, 0.0, 0.0), 1, True), ((1.0, 2.0, 3.0), 0, False)])
+    def test_stall_detector_counts_dual_degenerate_pivots(self, costs, threshold, stalls,
+                                                          monkeypatch):
+        # three rows x_i >= 1, each fixed by one pivot: with zero costs each
+        # pivot's dual step is 0, so the second one already passes a
+        # threshold of 1; with distinct positive costs every step is at least
+        # 1, so not even a threshold of 0 is passed
+        m = Model()
+        xs = [m.add_var() for _ in costs]
+        for x in xs:
+            m.add_constraint([(x, 1.0)], GE, 1.0)
+        m.set_objective(zip(xs, costs))
+        monkeypatch.setattr(milp, "_STALL_PIVOTS", threshold)
+        statuses = record_runs(monkeypatch)
+        sol = solve_lp(m)
+        assert sol.status == "optimal" and sol.objective == pytest.approx(sum(costs))
+        assert [sol.values[x] for x in xs] == pytest.approx([1.0, 1.0, 1.0])
+        assert ("stalled" in statuses) == stalls
+
+    def test_real_stalls_keep_the_optimum(self, monkeypatch):
+        # a threshold of one degenerate pivot makes the detector itself fire
+        # on some of these LPs and MIP relaxations (and on branched children
+        # of the MIPs); every solve still ends at the optimum found without it
+        rng = random.Random(808)
+        models = [random_lp(rng, rng.randint(2, 8), rng.randint(1, 6)) for _ in range(60)]
+        models += [random_mip(rng) for _ in range(30)]
+        cases = [(m, {}) for m in models]
+        cases += [(m, {vid: (fix, fix)}) for m in models[60:] for vid in m.binary_ids[:2]
+                  for fix in (0.0, 1.0)]
+        expected = [solve_lp(m, over) for m, over in cases]
+        monkeypatch.setattr(milp, "_STALL_PIVOTS", 1)
+        statuses = record_runs(monkeypatch)
+        for trial, ((m, over), ref) in enumerate(zip(cases, expected)):
+            m._std = None
+            sol = solve_lp(m, over)
+            assert sol.status == ref.status, f"trial {trial}"
+            if ref.status == "optimal":
+                assert sol.objective == pytest.approx(ref.objective, rel=1e-9, abs=1e-7)
+        assert statuses.count("stalled") >= 3
+
+    @pytest.mark.parametrize("cost_y,ends", [(1000.0, True), (1001.0, False)])
+    def test_repeated_flip_without_gain_ends_the_solve(self, cost_y, ends, monkeypatch):
+        # y is reported wrong-signed whenever it is nonbasic, as noisy reduced
+        # costs can; once a flip came back and flipping again could not gain
+        # a relative 1e-9 of the objective, the solve ends at that basis.  A
+        # flip that would gain keeps the restarts going, up to their limit.
+        m = Model()
+        x, y = m.add_var(upper=1.0), m.add_var(upper=1.0)
+        m.add_constraint([(x, 1.0), (y, 1.0)], GE, 1.0)
+        m.set_objective([(x, 1000.0), (y, cost_y)])
+        wrong_sign = milp._DualSimplex.wrong_sign
+
+        def noisy(sim):
+            bad = wrong_sign(sim)
+            bad[y] |= sim.pos[y] < 0
+            return bad
+
+        monkeypatch.setattr(milp._DualSimplex, "wrong_sign", noisy)
+        if ends:
+            sol = solve_lp(m)
+            assert sol.status == "optimal" and sol.objective == pytest.approx(1000.0)
+        else:
+            with pytest.raises(KernelError, match="did not settle"):
+                solve_lp(m)
 
     def test_iteration_guard_raises(self, monkeypatch):
         monkeypatch.setattr(milp, "_MAX_PIVOTS_PER_COLUMN", 0)
@@ -590,3 +699,63 @@ class TestWarmStart:
                                 below.append((child, warm))
                 level = below[:6]
         assert checked > 100
+
+
+class TestAddColumns:
+    def test_container_checks(self):
+        m = Model()
+        x = m.add_var()
+        m.add_constraint([(x, 1.0)], GE, 1.0)
+        with pytest.raises(ModelError):
+            m.add_columns([1.0], [[(1, 1.0)]])
+        with pytest.raises(ModelError):
+            m.add_columns([1.0], [[(0, 1.0), (0, 2.0)]])
+        with pytest.raises(ModelError):
+            m.add_columns([1.0, 2.0], [[(0, 1.0)]])
+        with pytest.raises(ModelError):
+            m.add_columns([1.0], [[(0, 1.0)]], lower=1.0, upper=0.0)
+        assert m.num_vars == 1
+        assert m.add_columns([2.0, 0.0], [[(0, 3.0)], [(0, 0.0)]], 0.0, 1.0) == [1, 2]
+        assert m.cons[0].terms == ((x, 1.0), (1, 3.0))
+        assert m.obj == {1: 2.0}
+        assert [(v.lower, v.upper) for v in m.vars[1:]] == [(0.0, 1.0), (0.0, 1.0)]
+
+    def test_warm_start_after_append_matches_cold_rebuild(self):
+        # columns appended to a solved model extend its standard form in
+        # place; the old basis warm-starts the grown model, whose optimum
+        # matches the same model built in one go and solved cold
+        rng = random.Random(47)
+        solved = 0
+        for trial in range(60):
+            n, m, k = rng.randint(2, 6), rng.randint(2, 6), rng.randint(1, 5)
+            grown = random_lp(rng, n, m)
+            first = solve_lp(grown)
+            std = grown._std
+            costs = [rng.uniform(-2, 2) for _ in range(k)]
+            entries = [[(i, rng.uniform(-2, 2)) for i in range(m) if rng.random() < 0.6]
+                       for _ in range(k)]
+            grown.add_columns(costs, entries, 0.0, rng.choice([1.0, 3.0, INF]))
+            assert grown._std is std and std.n == n + k
+            fresh = Model()
+            for v in grown.vars:
+                fresh.add_var(v.kind, v.lower, v.upper)
+            for con in grown.cons:
+                fresh.add_constraint(con.terms, con.sense, con.rhs)
+            fresh.set_objective(grown.obj.items(), grown.obj_offset)
+            cold = solve_lp(fresh)
+            warm = solve_lp(grown, basis=first.basis)
+            assert warm.status == cold.status, f"trial {trial}"
+            if cold.status == "optimal":
+                assert warm.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-7)
+                assert warm.basis.n == n + k
+                solved += 1
+        assert solved >= 20
+
+    def test_pivots_counted(self):
+        m = Model()
+        x = m.add_var()
+        m.add_constraint([(x, 1.0)], GE, 3.0)
+        m.set_objective([(x, 1.0)])
+        cold = solve_lp(m)
+        assert cold.pivots == 1
+        assert solve_lp(m, basis=cold.basis).pivots == 0
