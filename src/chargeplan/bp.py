@@ -24,11 +24,14 @@ enumerates the node's free open flags in vectorised blocks and returns the
 best few columns.  Every complete round therefore gives a valid Lagrangian
 bound, and a node's bound is the best of its rounds.
 
-Branching fixes original variables: first open flags (most fractional
-aggregate), then aggregated post counts when the open pattern is integral but
-post profiles still mix.  Fixings propagate along the tree through the
-monotonicity rows and are enforced inside pricing, so the pricing structure
-never changes shape.
+Branching splits the post count of one (node, location) into posts <= split
+and posts >= split + 1.  A station is open exactly when it has a post (row
+3h), so split 0 is the open-flag branch; it is taken first (most fractional
+aggregate open flag), then a fractional or mixed-support post count.  The
+low side caps the node and its ancestors, the high side raises the node and
+its subtree, as the monotonicity rows imply.  The one interval per (node,
+location) is enforced inside pricing, so the pricing structure never changes
+shape.
 
 The tree search is ``milp.best_first``, the same search branch and bound
 uses; ``branch_and_price`` only supplies the node expansion.  A node whose
@@ -130,34 +133,18 @@ class RmpSolution:
 
 @dataclass(frozen=True)
 class Fixings:
-    """Branching state: open flags forced to 0/1 and bounds on post counts,
-    both keyed by (node, location)."""
+    """Branching state: an interval (lo, hi) on the post count per (node,
+    location); an absent key is (0, inf).  A station is open exactly when it
+    has a post, so hi = 0 means closed and lo >= 1 means open."""
 
-    x_fix: dict = field(default_factory=dict)
-    post_lo: dict = field(default_factory=dict)
-    post_hi: dict = field(default_factory=dict)
+    posts: dict = field(default_factory=dict)
 
     def compatible(self, col: Column) -> bool:
-        n = col.node
-        for (m, j), v in self.x_fix.items():
-            if m == n and col.open[j] != bool(v):
-                return False
-        for (m, j), lo in self.post_lo.items():
-            if m == n and col.posts[j] < lo:
-                return False
-        for (m, j), hi in self.post_hi.items():
-            if m == n and col.posts[j] > hi:
-                return False
-        return True
+        return all(lo <= col.posts[j] <= hi
+                   for (m, j), (lo, hi) in self.posts.items() if m == col.node)
 
     def consistent(self) -> bool:
-        for key, lo in self.post_lo.items():
-            if self.post_hi.get(key, math.inf) < lo:
-                return False
-        for (m, j), v in self.x_fix.items():
-            if v == 0 and self.post_lo.get((m, j), 0) >= 1:
-                return False
-        return True
+        return all(lo <= hi for lo, hi in self.posts.values())
 
 
 @dataclass
@@ -184,9 +171,7 @@ class BpLimits:
 @dataclass
 class CgResult:
     status: str                 # converged | limit | infeasible
-    lp_value: float
     lagrangian_lb: float        # best bound over the completed rounds
-    duals: RmpDuals | None
     rmp: RmpSolution | None
     new_columns: list
     iterations: list
@@ -403,13 +388,15 @@ def solve_pricing(inst: Instance, n: int, coeffs: CostCoeffs, duals: RmpDuals,
     """Price one node exactly by enumerating its free open flags x.
 
     For a fixed x the arrival rates are closed form, and each open station
-    takes the cheapest post count in [max(1, kmin, fixed lo), min(m_max,
-    fixed hi)], kmin as in ``heuristic.min_posts``: the low end when a post's
-    reduced cost is >= 0, else the high end.  An empty interval or an
-    uncovered zone rules x out.  Blocks of patterns run in bound order (the
-    decided open flags at congestion-free cost plus the undecided ones'
-    negative parts) until no block can improve the result.  Returns the
-    PRICING_COLUMNS best columns with rc < -RC_TOL, ties by pattern index.
+    takes the cheapest post count in [max(1, kmin, lo), min(m_max, hi)], with
+    (lo, hi) its branching interval and kmin as in ``heuristic.min_posts``:
+    the low end when a post's reduced cost is >= 0, else the high end.  The
+    interval closes (hi = 0), opens (lo >= 1) or leaves free each flag; an
+    empty interval or an uncovered zone rules x out.  Blocks of patterns run
+    in bound order (the decided open flags at congestion-free cost plus the
+    undecided ones' negative parts) until no block can improve the result.
+    Returns the PRICING_COLUMNS best columns with rc < -RC_TOL, ties by
+    pattern index.
     """
     nloc = inst.n_locations
     kids = inst.children(n)
@@ -420,15 +407,14 @@ def solve_pricing(inst: Instance, n: int, coeffs: CostCoeffs, duals: RmpDuals,
                    for j in range(nloc)])
     cy = np.array([coeffs.c2[n, j] - duals.pi2[n, j] + sum(duals.pi2[c, j] for c in kids)
                    for j in range(nloc)])
-    lo_fix = np.array([max(1, fixings.post_lo.get((n, j), 1)) for j in range(nloc)])
-    hi_fix = np.array([min(loc.m_max, fixings.post_hi.get((n, j), loc.m_max))
-                       for j, loc in enumerate(inst.locations)])
-    # cheapest cost of an open station with congestion ignored; inf when the
-    # post fixings leave it no count
+    interval = [fixings.posts.get((n, j), (0, math.inf)) for j in range(nloc)]
+    lo_fix = np.array([max(1, lo) for lo, _ in interval])
+    hi_fix = np.array([min(loc.m_max, hi) for loc, (_, hi) in zip(inst.locations, interval)])
+    # cheapest cost of an open station with congestion ignored; inf when its
+    # interval leaves it no count
     open_cost = np.where(lo_fix > hi_fix, np.inf,
                          cx + cy * np.where(cy >= 0, lo_fix, hi_fix))
-    fixed = [fixings.x_fix.get((n, j), 1 if fixings.post_lo.get((n, j), 0) >= 1 else None)
-             for j in range(nloc)]
+    fixed = [0 if hi == 0 else 1 if lo >= 1 else None for lo, hi in interval]
     # the flags whose cost swings the bound most are decided per block
     free = sorted((j for j in range(nloc) if fixed[j] is None), key=lambda j: abs(open_cost[j]))
     if len(free) > MAX_FREE_FLAGS:
@@ -534,14 +520,13 @@ def column_generation(master: Master, fixings: Fixings, limits: BpLimits | None 
         )
         new_columns += added
         if stop == "infeasible":
-            return CgResult("infeasible", math.inf, math.inf, None, None,
-                            new_columns, iterations, master_s, pricing_s)
+            return CgResult("infeasible", math.inf, None, new_columns, iterations,
+                            master_s, pricing_s)
         if stop is None and not added:
             status = "converged"
         if stop or not added:
             break
-    return CgResult(status, rmp.value, best_lb, rmp.duals, rmp, new_columns, iterations,
-                    master_s, pricing_s)
+    return CgResult(status, best_lb, rmp, new_columns, iterations, master_s, pricing_s)
 
 
 # ---------------------------------------------------------------------------
@@ -590,45 +575,24 @@ def _ancestors_and_self(inst: Instance, n: int):
     return out
 
 
-def _fix_x(fix: Fixings, key, value: int) -> None:
-    """Tighten an open-flag fix; a contradiction leaves the node inconsistent
-    (post bounds crossed) so it is pruned instead of silently overwritten."""
-    old = fix.x_fix.get(key)
-    if old is not None and old != value:
-        fix.post_lo[key] = 1
-        fix.post_hi[key] = 0
-        return
-    fix.x_fix[key] = value
-
-
-def _branch_on_x(inst: Instance, fixings: Fixings, n: int, j: int):
-    """Two children: station absent at (n, j) (and above), or present (and below)."""
-    zero = Fixings(dict(fixings.x_fix), dict(fixings.post_lo), dict(fixings.post_hi))
+def _branch(inst: Instance, fixings: Fixings, n: int, j: int, split: int):
+    """Two children: posts <= split at (n, j) and its ancestors, or posts >=
+    split + 1 at (n, j) and its subtree.  A child whose interval crosses is
+    inconsistent and gets pruned."""
+    low, high = dict(fixings.posts), dict(fixings.posts)
     for m in _ancestors_and_self(inst, n):
-        _fix_x(zero, (m, j), 0)
-    one = Fixings(dict(fixings.x_fix), dict(fixings.post_lo), dict(fixings.post_hi))
+        lo, hi = low.get((m, j), (0, math.inf))
+        low[m, j] = (lo, min(hi, split))
     for m in _subtree(inst, n):
-        _fix_x(one, (m, j), 1)
-        one.post_lo[m, j] = max(one.post_lo.get((m, j), 1), 1)
-    return zero, one
-
-
-def _branch_on_posts(inst: Instance, fixings: Fixings, n: int, j: int, split: int):
-    """Two children: post count <= split at (n, j) (and above), or >= split+1
-    (and below)."""
-    low = Fixings(dict(fixings.x_fix), dict(fixings.post_lo), dict(fixings.post_hi))
-    for m in _ancestors_and_self(inst, n):
-        low.post_hi[m, j] = min(low.post_hi.get((m, j), math.inf), split)
-    high = Fixings(dict(fixings.x_fix), dict(fixings.post_lo), dict(fixings.post_hi))
-    for m in _subtree(inst, n):
-        high.post_lo[m, j] = max(high.post_lo.get((m, j), 0), split + 1)
-        _fix_x(high, (m, j), 1)
-    return low, high
+        lo, hi = high.get((m, j), (0, math.inf))
+        high[m, j] = (max(lo, split + 1), hi)
+    return Fixings(low), Fixings(high)
 
 
 def _select_branching(inst: Instance, rmp: RmpSolution):
-    """(kind, n, j, split): the x closest to one half, else a fractional or
-    mixed-support post count; None when the aggregate is a pure column choice."""
+    """(n, j, split): split 0 at the open flag closest to one half, else a
+    fractional or mixed-support post count split at its floor or rounding;
+    None when the aggregate is a pure column choice."""
     xbar, pbar = rmp.aggregates(inst)
     best = None
     best_score = None
@@ -640,12 +604,12 @@ def _select_branching(inst: Instance, rmp: RmpSolution):
                 if best_score is None or score < best_score - 1e-12:
                     best, best_score = (n, j), score
     if best is not None:
-        return ("x", best[0], best[1], None)
+        return (*best, 0)
     for n in inst.node_ids():
         for j in range(inst.n_locations):
             p = pbar[n][j]
             if abs(p - round(p)) > INT_TOL:
-                return ("posts", n, j, int(math.floor(p)))
+                return (n, j, int(math.floor(p)))
     for n in inst.node_ids():
         cols = rmp.node_columns[n]
         lams = rmp.lambdas[n]
@@ -653,7 +617,7 @@ def _select_branching(inst: Instance, rmp: RmpSolution):
         for j in range(inst.n_locations):
             posts = {c.posts[j] for c in support}
             if len(posts) > 1:
-                return ("posts", n, j, int(round(pbar[n][j])))
+                return (n, j, int(round(pbar[n][j])))
     return None
 
 
@@ -691,14 +655,15 @@ def branch_and_price(inst: Instance, limits: BpLimits | None = None) -> BpResult
         stats["master_s"] += cg.master_s
         stats["pricing_s"] += cg.pricing_s
         stats["log"].append(
-            {"branch_depth": bnode.depth, "fixings": len(bnode.fixings.x_fix),
+            {"branch_depth": bnode.depth,
+             "fixings": sum(hi == 0 or lo >= 1 for lo, hi in bnode.fixings.posts.values()),
              "cg": cg.iterations, "status": cg.status}
         )
         if cg.status == "infeasible":
             return [], [], math.inf
         node_lb = max(bnode.parent_bound, cg.lagrangian_lb)
         if cg.status == "converged":
-            node_lb = max(node_lb, cg.lp_value)
+            node_lb = max(node_lb, cg.rmp.value)
         if node_lb >= best - 1e-9:
             return [], [], math.inf
         plans = audited(primal_repair(inst, cg.rmp))
@@ -711,13 +676,8 @@ def branch_and_price(inst: Instance, limits: BpLimits | None = None) -> BpResult
             return [], plans + found, floor
         if limits.root_only:
             return [], plans, node_lb
-        kind, n, j, split = choice
-        if kind == "x":
-            left, right = _branch_on_x(inst, bnode.fixings, n, j)
-        else:
-            left, right = _branch_on_posts(inst, bnode.fixings, n, j, split)
         children = [(node_lb, BranchNode(fix, node_lb, bnode.depth + 1, cg.rmp.basis))
-                    for fix in (left, right) if fix.consistent()]
+                    for fix in _branch(inst, bnode.fixings, *choice) if fix.consistent()]
         return children, plans, math.inf
 
     try:

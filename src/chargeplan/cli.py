@@ -1,7 +1,8 @@
 """Command-line interface: generate instances, solve them, run benchmarks.
 
 Exit codes for ``solve``: 0 feasible result, 2 proven infeasible, 3 budget
-exhausted without an incumbent.  Usage errors exit nonzero via argparse.
+exhausted without an incumbent.  Usage errors, flags out of their domain
+included, exit 2 via argparse.
 ``EVCEC_THREADS`` caps benchmark workers (default 1: fully sequential and
 deterministic).
 """
@@ -28,6 +29,7 @@ from .evcec import (
 from .heuristic import InfeasibleInstanceError, best_greedy, local_search
 from .instance import GenParams, PRESETS, generate, load, save, with_queue
 from .milp import MipLimits, solve_mip
+from .queueing import QueueConfig, QueueDomainError
 from .report import compare_metrics, queue_report, render_cg_log, render_tables
 
 ALGOS = ("mip", "approx", "heuristic", "bp")
@@ -35,6 +37,28 @@ DEFAULT_TIME_LIMIT = 7200.0
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
 EXIT_NO_INCUMBENT = 3
+
+
+def _positive(text: str) -> float:
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
+def _nonnegative(text: str) -> float:
+    value = float(text)
+    if not value >= 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {text}")
+    return value
+
+
+def _int_list(text: str) -> list[int]:
+    try:
+        return [int(v) for v in text.split(",") if v != ""]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -65,9 +89,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sol.add_argument("--b", type=int, help="override queue-length threshold")
     sol.add_argument("--alpha", type=float, help="override service level")
     sol.add_argument("--mu", type=float, help="override service rate")
-    sol.add_argument("--time-limit", type=float, default=DEFAULT_TIME_LIMIT,
+    sol.add_argument("--time-limit", type=_positive, default=DEFAULT_TIME_LIMIT,
                      help="seconds (default 7200)")
-    sol.add_argument("--gap-tol", type=float, default=1e-6)
+    sol.add_argument("--gap-tol", type=_nonnegative, default=1e-6)
     sol.add_argument("--root-only", action="store_true",
                      help="bp: column generation and repair at the root only")
     sol.add_argument("--cg-log", help="bp: write the column-generation run log here")
@@ -76,11 +100,11 @@ def _build_parser() -> argparse.ArgumentParser:
     ben = sub.add_parser("benchmark", help="run the algorithm matrix over seeded presets")
     ben.add_argument("--suite", choices=("tiny", "small", "medium"), default="tiny")
     ben.add_argument("--seeds", type=int, default=3, help="instances per suite")
-    ben.add_argument("--b-values", default="0,1,2,3",
+    ben.add_argument("--b-values", type=_int_list, default="0,1,2,3",
                      help="comma-separated queue thresholds")
     ben.add_argument("--algos", default=None,
                      help="comma-separated subset of {mip,approx,heuristic,bp}")
-    ben.add_argument("--time-limit", type=float, default=300.0,
+    ben.add_argument("--time-limit", type=_positive, default=300.0,
                      help="per-solve budget in seconds")
     ben.add_argument("--out-dir", required=True)
     return parser
@@ -122,10 +146,20 @@ def _gen_params(args, parser) -> GenParams:
         if args.mj < 1:
             parser.error("--mj must be positive")
         params = dataclasses.replace(params, m_max=args.mj)
-    for name, val in (("alpha", args.alpha), ("mu", args.mu), ("b", args.b)):
-        if val is not None:
-            params = dataclasses.replace(params, **{name: val})
-    return params
+    return dataclasses.replace(
+        params, **_queue_flags(parser, mu=args.mu, alpha=args.alpha, b=args.b))
+
+
+def _queue_flags(parser, **flags) -> dict:
+    """The queue flags given (not None), each checked against the queue's own
+    domain: a value out of it is a usage error, not a traceback."""
+    given = {k: v for k, v in flags.items() if v is not None}
+    base = GenParams()
+    try:
+        QueueConfig(**{"mu": base.mu, "alpha": base.alpha, "b": base.b, **given})
+    except QueueDomainError as exc:
+        parser.error(str(exc))
+    return given
 
 
 def _cmd_generate(args, parser) -> int:
@@ -186,9 +220,8 @@ def _run_algo(algo: str, inst, time_limit: float, gap_tol: float, root_only: boo
 
 
 def _cmd_solve(args, parser) -> int:
+    overrides = _queue_flags(parser, mu=args.mu, alpha=args.alpha, b=args.b)
     inst = load(args.instance)
-    overrides = {k: getattr(args, k) for k in ("mu", "alpha", "b")
-                 if getattr(args, k) is not None}
     if overrides:
         inst = with_queue(inst, **overrides)
     dep, fields, proven_infeasible, run_stats = _run_algo(
@@ -253,9 +286,10 @@ def _bench_cell_star(cell) -> dict:
 
 
 def _cmd_benchmark(args, parser) -> int:
+    for b in args.b_values:
+        _queue_flags(parser, b=b)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    b_values = [int(v) for v in args.b_values.split(",") if v != ""]
     if args.algos:
         algos = tuple(a.strip() for a in args.algos.split(","))
         for a in algos:
@@ -268,7 +302,7 @@ def _cmd_benchmark(args, parser) -> int:
     cells = [
         (args.suite, seed, b, algo, args.time_limit)
         for seed in range(args.seeds)
-        for b in b_values
+        for b in args.b_values
         for algo in algos
     ]
     workers = int(os.environ.get("EVCEC_THREADS", "1") or "1")

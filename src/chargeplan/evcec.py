@@ -43,9 +43,6 @@ class Deployment:
     open: dict
     posts: dict
 
-    def is_open(self, n: int, j: int) -> bool:
-        return self.open[n][j]
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -116,7 +113,6 @@ class EvcecModel:
     y: dict
     alpha: dict
     z: dict
-    relax_y: bool
 
 
 def _add_scenario_rows(m: Model, inst: Instance, cov, attr, rho, n: int,
@@ -246,7 +242,7 @@ def build_evcec(inst: Instance, relax_y: bool = False) -> EvcecModel:
                 for k in range(1, mj + 1):
                     obj[y[a, j, k]] = obj.get(y[a, j, k], 0.0) - node.prob * k * node.cost_post[j]
     m.set_objective(list(obj.items()), offset=offset)
-    return EvcecModel(model=m, inst=inst, x=x, y=y, alpha=alpha, z=z, relax_y=relax_y)
+    return EvcecModel(model=m, inst=inst, x=x, y=y, alpha=alpha, z=z)
 
 
 def build_revcec(inst: Instance) -> EvcecModel:

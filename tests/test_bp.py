@@ -54,7 +54,7 @@ from chargeplan.instance import (
     rho_table_for,
     with_queue,
 )
-from chargeplan.milp import BINARY, EQ, GE, LE, MipLimits, Model, solve_mip
+from chargeplan.milp import BINARY, GE, LE, MipLimits, Model, solve_mip
 from chargeplan.queueing import QueueConfig
 from chargeplan.report import render_cg_log
 
@@ -148,7 +148,8 @@ def pricing_costs(inst, n, coeffs, duals):
 
 
 def pricing_mip(inst, n, coeffs, duals, fixings):
-    """MILP oracle: the single-node reduced-cost model under the fixings."""
+    """MILP oracle: the single-node reduced-cost model under the fixings.  Only
+    the post count is bounded: row 3h ties the open flag to it."""
     cov = coverage_sets(inst)
     m = Model(f"pricing[{n}]")
     x, y, alpha, z = {}, {}, {}, {}
@@ -159,12 +160,11 @@ def pricing_mip(inst, n, coeffs, duals, fixings):
     obj = []
     for j, loc in enumerate(inst.locations):
         weight = [(y[n, j, k], float(k)) for k in range(1, loc.m_max + 1)]
-        if (n, j) in fixings.x_fix:
-            m.add_constraint([(x[n, j], 1.0)], EQ, float(fixings.x_fix[n, j]))
-        if (n, j) in fixings.post_lo:
-            m.add_constraint(weight, GE, float(fixings.post_lo[n, j]))
-        if (n, j) in fixings.post_hi:
-            m.add_constraint(weight, LE, float(fixings.post_hi[n, j]))
+        lo, hi = fixings.posts.get((n, j), (0, math.inf))
+        if lo > 0:
+            m.add_constraint(weight, GE, float(lo))
+        if hi < math.inf:
+            m.add_constraint(weight, LE, float(hi))
         obj.append((x[n, j], cx[j]))
         obj += [(v, cy[j] * c) for v, c in weight]
     m.set_objective(obj)
@@ -184,17 +184,16 @@ def random_duals(inst, coeffs, rng):
 def random_fixings(inst, n, rng):
     """Fixings at node n of the kinds branching makes: closed, open with a
     post floor, or a post ceiling."""
-    x_fix, post_lo, post_hi = {}, {}, {}
+    posts = {}
     for j, loc in enumerate(inst.locations):
         r = rng.random()
         if r < 0.1:
-            x_fix[n, j] = 0
+            posts[n, j] = (0, 0)
         elif r < 0.25:
-            x_fix[n, j] = 1
-            post_lo[n, j] = rng.randint(1, loc.m_max)
+            posts[n, j] = (rng.randint(1, loc.m_max), math.inf)
         elif r < 0.35:
-            post_hi[n, j] = rng.randint(1, loc.m_max)
-    fixings = Fixings(x_fix, post_lo, post_hi)
+            posts[n, j] = (0, rng.randint(1, loc.m_max))
+    fixings = Fixings(posts)
     assert fixings.consistent()
     return fixings
 
@@ -296,7 +295,7 @@ class TestRmp:
         coeffs = cost_coefficients(inst)
         col_a = make_column(coeffs, 1, (True, False), (1, 0))
         col_b = make_column(coeffs, 1, (False, True), (0, 1))
-        fixings = Fixings(x_fix={(1, 0): 0})
+        fixings = Fixings({(1, 0): (0, 0)})
         master = Master(inst, coeffs, [col_a, col_b])
         rmp = solve_rmp(master, fixings)
         assert rmp.node_columns[1] == [col_b] and rmp.lambdas[1] == [pytest.approx(1.0)]
@@ -308,7 +307,7 @@ class TestRmp:
         inst = hand_instance(m_max=1)
         coeffs = cost_coefficients(inst)
         col = make_column(coeffs, 1, (True,), (1,))
-        fixings = Fixings(x_fix={(1, 0): 0})
+        fixings = Fixings({(1, 0): (0, 0)})
         rmp = solve_rmp(Master(inst, coeffs, [col]), fixings)
         # the node's convexity row is met by its artificial alone
         assert rmp.node_columns[1] == []
@@ -367,7 +366,7 @@ class TestPersistentMaster:
             for col in allowed:
                 assert reduced_cost(master.inst, col, rmp.duals) >= -1e-6
             checked += 1
-            branched += bool(fixings.x_fix or fixings.post_hi)
+            branched += bool(fixings.posts)
             return rmp
 
         monkeypatch.setattr(bp, "solve_rmp", differential)
@@ -383,12 +382,9 @@ class TestPersistentMaster:
                 if cg.status == "infeasible":
                     break
                 n, j = rng.choice(inst.node_ids()), rng.randrange(inst.n_locations)
-                if rng.random() < 0.5:
-                    kids = bp._branch_on_x(inst, fixings, n, j)
-                else:
-                    kids = bp._branch_on_posts(inst, fixings, n, j,
-                                               rng.randint(0, inst.locations[j].m_max - 1))
-                kids = [k for k in kids if k.consistent()]
+                # split 0 is the open-flag branch
+                split = 0 if rng.random() < 0.5 else rng.randint(0, inst.locations[j].m_max - 1)
+                kids = [k for k in bp._branch(inst, fixings, n, j, split) if k.consistent()]
                 if not kids:
                     break
                 fixings, basis = rng.choice(kids), cg.rmp.basis
@@ -401,7 +397,7 @@ class TestPersistentMaster:
         def root_value(inst):
             coeffs = cost_coefficients(inst)
             master = Master(inst, coeffs, columns_from_deployment(inst, coeffs, best_greedy(inst)))
-            return column_generation(master, Fixings()).lp_value
+            return column_generation(master, Fixings()).rmp.value
 
         insts = [with_queue(generate(PRESETS["tiny"], seed), b=b)
                  for seed in range(10) for b in range(3)]
@@ -456,6 +452,59 @@ class TestPersistentMaster:
         assert render_cg_log(again.stats) == render_cg_log(res.stats)
 
 
+def monotone_assignments(inst, j):
+    """Every post count per node at location j that never shrinks from a node
+    to its children, as dicts node -> posts."""
+    out = [{}]
+    for n in inst.node_ids():
+        parent = inst.node(n).parent
+        out = [{**a, n: k} for a in out
+               for k in range(0 if parent is None else a[parent], inst.locations[j].m_max + 1)]
+    return out
+
+
+def allows(fixings, j, assignment):
+    return all(lo <= k <= hi for n, k in assignment.items()
+               for lo, hi in [fixings.posts.get((n, j), (0, math.inf))])
+
+
+class TestBranching:
+    def test_children_split_the_plan_space(self):
+        # at consistent fixings reached by random branching, every split of
+        # every (node, location): each never-shrinking post assignment the
+        # parent allows is allowed by exactly one child, no child loosens a
+        # parent bound, and other locations are left alone
+        rng = random.Random(5)
+        checked = 0
+        for seed in range(4):
+            inst = generate(PRESETS["tiny"], seed)
+            plans = {j: monotone_assignments(inst, j) for j in range(inst.n_locations)}
+            fixings = Fixings()
+            for _depth in range(8):
+                assert fixings.consistent()
+                for n, j in itertools.product(inst.node_ids(), range(inst.n_locations)):
+                    for split in range(inst.locations[j].m_max):
+                        kids = bp._branch(inst, fixings, n, j, split)
+                        assert len(kids) == 2
+                        for kid in kids:
+                            for key, (lo, hi) in fixings.posts.items():
+                                assert lo <= kid.posts[key][0] and kid.posts[key][1] <= hi
+                            assert {k: v for k, v in kid.posts.items() if k[1] != j} == \
+                                {k: v for k, v in fixings.posts.items() if k[1] != j}
+                        for plan in plans[j]:
+                            if allows(fixings, j, plan):
+                                assert sum(allows(kid, j, plan) for kid in kids) == 1
+                                checked += 1
+                n, j = rng.choice(inst.node_ids()), rng.randrange(inst.n_locations)
+                kids = [kid for kid in bp._branch(inst, fixings, n, j,
+                                                   rng.randrange(inst.locations[j].m_max))
+                        if kid.consistent()]
+                if not kids:
+                    break
+                fixings = rng.choice(kids)
+        assert checked >= 10000
+
+
 class TestPricing:
     def test_zero_duals_returns_cheapest_feasible_point(self):
         inst = hand_instance(n_locations=2, dist=((0.5, 0.7),), w=(1.0,), bcoef=(0.1,),
@@ -479,7 +528,7 @@ class TestPricing:
         inst = hand_instance(m_max=1)
         coeffs = cost_coefficients(inst)
         duals = RmpDuals(pi1={(1, 0): 0.0}, pi2={(1, 0): 0.0}, sigma={1: 0.0})
-        out = solve_pricing(inst, 1, coeffs, duals, Fixings(x_fix={(1, 0): 0}))
+        out = solve_pricing(inst, 1, coeffs, duals, Fixings({(1, 0): (0, 0)}))
         assert out.status == "infeasible"
         assert not out.columns
 
@@ -491,7 +540,7 @@ class TestPricing:
                         sigma={1: 0.0, 2: 0.0})
         with pytest.raises(ValueError, match="31 free open flags"):
             solve_pricing(inst, 2, coeffs, zero, Fixings())
-        fixed = Fixings(x_fix={(2, 0): 0})
+        fixed = Fixings({(2, 0): (0, 0)})
         assert solve_pricing(inst, 2, coeffs, zero, fixed).status == "optimal"
 
     def test_zero_dual_pricing_no_dearer_than_optimal_slice(self):
@@ -586,7 +635,7 @@ class TestColumnGeneration:
         assert res.status == "converged"
         assert len(res.iterations) == 1
         assert not res.new_columns
-        assert res.lp_value == pytest.approx(best_cost - coeffs.psi, rel=1e-9)
+        assert res.rmp.value == pytest.approx(best_cost - coeffs.psi, rel=1e-9)
 
     def test_single_node_matches_mip_restricted_to_scenario(self):
         inst = hand_instance(n_locations=2, dist=((0.5, 0.7),), w=(1.0,), bcoef=(0.1,),
@@ -597,7 +646,7 @@ class TestColumnGeneration:
                                 Fixings())
         mip = solve_mip(build_evcec(inst).model)
         assert res.status == "converged"
-        assert res.lp_value == pytest.approx(mip.objective, rel=1e-9)
+        assert res.rmp.value == pytest.approx(mip.objective, rel=1e-9)
 
     def test_bound_below_value_each_round_and_tight_at_end(self):
         for seed in (1, 6):
@@ -609,8 +658,8 @@ class TestColumnGeneration:
             for rec in res.iterations:
                 if rec["lagrangian_lb"] > -math.inf:
                     assert rec["lagrangian_lb"] <= rec["rmp_value"] + 1e-7
-            scale = max(1.0, abs(res.lp_value))
-            assert abs(res.lp_value - res.lagrangian_lb) <= 1e-4 * scale
+            scale = max(1.0, abs(res.rmp.value))
+            assert abs(res.rmp.value - res.lagrangian_lb) <= 1e-4 * scale
 
     def test_rmp_value_never_increases(self):
         inst = generate(PRESETS["tiny"], 3)

@@ -133,6 +133,34 @@ class TestSolve:
         assert code == 3
 
 
+USAGE_ERRORS = {
+    "generate --b": ["generate", "--preset", "tiny", "--b", "-1"],
+    "generate --alpha": ["generate", "--preset", "tiny", "--alpha", "1.5"],
+    "generate --mu": ["generate", "--preset", "tiny", "--mu", "0"],
+    "solve --b": ["solve", "--algo", "heuristic", "--b", "-1"],
+    "solve --alpha": ["solve", "--algo", "heuristic", "--alpha", "0"],
+    "solve --mu": ["solve", "--algo", "heuristic", "--mu", "-2"],
+    "solve --time-limit": ["solve", "--algo", "bp", "--time-limit", "-5"],
+    "solve --gap-tol": ["solve", "--algo", "bp", "--gap-tol", "-0.1"],
+    "benchmark --b-values": ["benchmark", "--b-values", "1,x", "--algos", "heuristic"],
+    "benchmark --b-values negative": ["benchmark", "--b-values", "0,-1", "--algos", "heuristic"],
+    "benchmark --time-limit": ["benchmark", "--b-values", "0", "--time-limit", "0"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
+def test_bad_flag_is_a_usage_error(case, tiny_file, tmp_path, capsys):
+    argv = list(USAGE_ERRORS[case])
+    out = tmp_path / "out"
+    argv += {"generate": ["--out", str(out)], "solve": ["--instance", str(tiny_file),
+                                                     "--out", str(out)],
+             "benchmark": ["--out-dir", str(out)]}[argv[0]]
+    code, stdout = run_cli(argv)
+    assert code == 2 and stdout == "", case
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestBenchmark:
     def test_tiny_matrix_writes_reports(self, tmp_path):
         out_dir = tmp_path / "bench"

@@ -2,7 +2,23 @@
 
 import ast
 import importlib
+import importlib.util
+import sys
 from pathlib import Path
+
+from chargeplan.bp import (
+    BpLimits,
+    Fixings,
+    Master,
+    branch_and_price,
+    column_generation,
+    columns_from_deployment,
+    cost_coefficients,
+)
+from chargeplan.evcec import build_evcec
+from chargeplan.heuristic import best_greedy
+from chargeplan.instance import PRESETS, generate
+from chargeplan.milp import solve_mip
 
 SPANS = Path(__file__).resolve().parent.parent / "solverbench" / "spans.py"
 
@@ -24,3 +40,24 @@ def test_traced_names_exist():
         if not callable(getattr(importlib.import_module(f"chargeplan.{mod}"), fn, None))
     ]
     assert not missing
+
+
+def test_counters_read_real_results(monkeypatch):
+    # the traced benchmark run reads these fields off the traced functions'
+    # return values; a renamed field would otherwise surface only there
+    spec = importlib.util.spec_from_file_location("solverbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, spans)  # its dataclass looks itself up
+    spec.loader.exec_module(spans)
+    inst = generate(PRESETS["tiny"], 3)
+    em = build_evcec(inst)
+    coeffs = cost_coefficients(inst)
+    master = Master(inst, coeffs, columns_from_deployment(inst, coeffs, best_greedy(inst)))
+    cg = column_generation(master, Fixings(), BpLimits(cg_round_limit=1))
+    assert cg.status == "limit"
+    counters = dict.fromkeys(spans.COUNTERS, 0)
+    for name, out in (("milp.solve_mip", solve_mip(em.model)), ("evcec.build_evcec", em),
+                      ("bp.branch_and_price", branch_and_price(inst)),
+                      ("bp.column_generation", cg)):
+        spans._count(counters, name, out)
+    assert all(counters[name] > 0 for name in spans.COUNTERS), counters
