@@ -11,8 +11,9 @@ rebate reproduces the original expected cost exactly.
 One master (``Master``) serves the whole search.  It is built once, with its
 linking rows, their penalty slacks and the convexity rows, and each round only
 appends the new lambda columns; the LP kernel extends its standard form in
-place.  Every solve warm-starts from the last basis: the previous round's
-within a node, the parent's final basis at a new branch node.  A new lambda is
+place.  Every solve warm-starts from the last basis and its inverse: the
+previous round's within a node, the parent's final basis at a new branch node
+(inverted again if other nodes were expanded in between).  A new lambda is
 boxed in [0, 1], so its negative reduced cost is repaired by a bound flip and
 the dual simplex carries on from there.  Branching fixings never rebuild the
 master: a column they rule out keeps its lambda at 0 through a bound override.
@@ -649,7 +650,14 @@ def branch_and_price(inst: Instance, limits: BpLimits | None = None) -> BpResult
         master.add(columns_from_deployment(inst, coeffs, dep))
         return [(objective_value(inst, dep), dep)]
 
+    latest = []  # the node expanded last and its children
+
     def expand(bnode: BranchNode, best: float):
+        # only this node and the latest children keep a basis inverse
+        for other in latest:
+            if other is not bnode and other.basis is not None:
+                other.basis = other.basis.bare()
+        latest[:] = [bnode]
         cg = column_generation(master, bnode.fixings, limits, deadline, bnode.basis)
         stats["cg_rounds"] += len(cg.iterations)
         stats["master_s"] += cg.master_s
@@ -657,6 +665,8 @@ def branch_and_price(inst: Instance, limits: BpLimits | None = None) -> BpResult
         stats["log"].append(
             {"branch_depth": bnode.depth,
              "fixings": sum(hi == 0 or lo >= 1 for lo, hi in bnode.fixings.posts.values()),
+             "post_bounds": sum(lo > 0 or hi < inst.locations[j].m_max
+                                for (_, j), (lo, hi) in bnode.fixings.posts.items()),
              "cg": cg.iterations, "status": cg.status}
         )
         if cg.status == "infeasible":
@@ -678,6 +688,7 @@ def branch_and_price(inst: Instance, limits: BpLimits | None = None) -> BpResult
             return [], plans, node_lb
         children = [(node_lb, BranchNode(fix, node_lb, bnode.depth + 1, cg.rmp.basis))
                     for fix in _branch(inst, bnode.fixings, *choice) if fix.consistent()]
+        latest.extend(kid for _, kid in children)
         return children, plans, math.inf
 
     try:

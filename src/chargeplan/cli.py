@@ -1,7 +1,7 @@
 """Command-line interface: generate instances, solve them, run benchmarks.
 
-Exit codes for ``solve``: 0 feasible result, 2 proven infeasible, 3 budget
-exhausted without an incumbent.  Usage errors, flags out of their domain
+Exit codes for ``solve``: 0 feasible result, 3 budget exhausted without an
+incumbent, 4 proven infeasible.  Usage errors, flags out of their domain
 included, exit 2 via argparse.
 ``EVCEC_THREADS`` caps benchmark workers (default 1: fully sequential and
 deterministic).
@@ -35,7 +35,7 @@ from .report import compare_metrics, queue_report, render_cg_log, render_tables
 ALGOS = ("mip", "approx", "heuristic", "bp")
 DEFAULT_TIME_LIMIT = 7200.0
 EXIT_OK = 0
-EXIT_INFEASIBLE = 2
+EXIT_INFEASIBLE = 4
 EXIT_NO_INCUMBENT = 3
 
 

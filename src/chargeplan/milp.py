@@ -10,13 +10,16 @@ standard form is built once per model and grows in place when columns are
 appended (``Model.add_columns``); branch-and-bound children re-optimise from
 their parent's basis, which a bound fix leaves dual feasible, so only the root
 LP starts from the all-logical basis.  A basis stays usable after an append:
-the new columns start nonbasic at their lower bound.  A run that stalls on
-dual degeneracy restarts on slightly perturbed costs and then returns to the
-true ones, and columns whose reduced costs come back wrong-signed by noise
-after a flip are not flipped again.  Dense arrays are deliberate: every model this package solves is
-desk scale, and a self-contained kernel keeps results reproducible.  The
-narrow ``solve_lp`` / ``solve_mip`` surface lets an external solver be adapted
-in later without touching callers.
+the new columns start nonbasic at their lower bound.  A warm start carries
+the basis inverse too, so a solve inverts the basis only when updates have
+built up or a residual check fails (see ``_DualSimplex``); the searches keep
+the inverse on few open nodes.  A run that stalls on dual degeneracy restarts
+on slightly perturbed costs and then returns to the true ones, and columns
+whose reduced costs come back wrong-signed by noise after a flip are not
+flipped again.  Dense arrays are deliberate: every model this package solves
+is desk scale, and a self-contained kernel keeps results reproducible.  The
+narrow ``solve_lp`` / ``solve_mip`` surface lets an external solver be
+adapted in later without touching callers.
 
 Dual sign convention for minimization: duals are shadow prices d(objective)/
 d(rhs), so >= rows get nonnegative duals, <= rows nonpositive, = rows free.
@@ -40,8 +43,9 @@ LE, GE, EQ = "<=", ">=", "="
 _FEAS_TOL = 1e-7
 _OPT_TOL = 1e-7
 _PIVOT_TOL = 1e-9
+_RESIDUAL_TOL = 1e-9    # relative residuals a carried basis inverse must meet
 _INT_TOL = 1e-6
-_REFACTOR_EVERY = 100   # basis updates between refactorisations
+_REFACTOR_EVERY = 100   # basis updates between inversions, across warm starts
 _MAX_PIVOTS_PER_COLUMN = 50   # iteration guard of one dual simplex run
 _ROUNDS = 20            # dual simplex restarts after flips or a dual phase 1
 _STALL_PIVOTS = 100     # pivots in a row with a dual step under _OPT_TOL: stalled
@@ -189,6 +193,7 @@ class LpSolution:
     reduced_costs: dict[int, float]
     basis: LpBasis | None = None   # final basis of an optimal solve, for warm starts
     pivots: int = 0                # basis changes the dual simplex made, phase 1 included
+    refactors: int = 0             # basis inversions, phase 1 and restarts included
 
 
 @dataclass
@@ -221,11 +226,21 @@ class LpBasis:
     ``head[i]`` is the column basic in row i and ``at_upper`` lists the
     nonbasic columns resting at their upper bound.  Column j < n is variable
     j and column n + i is the logical of row i, where n is the number of
-    variables when the basis was taken.
+    variables when the basis was taken.  ``inverse`` is the basis inverse the
+    solve ended on (row i belongs to ``head[i]``), after ``updates`` pivots
+    since it was last inverted; a solve from this basis starts from a copy of
+    it.  Appended columns are nonbasic, so ``Model.add_columns`` leaves it
+    valid.  Without it, the solve inverts the basis first.
     """
     head: np.ndarray
     at_upper: np.ndarray
     n: int
+    inverse: np.ndarray | None = None
+    updates: int = 0
+
+    def bare(self) -> LpBasis:
+        """The same basis without its inverse, to keep one that waits long."""
+        return LpBasis(self.head, self.at_upper, self.n)
 
     def columns(self, n: int):
         """(head, at_upper) for the model grown to n variables by
@@ -268,6 +283,8 @@ class _StandardForm:
             self.c[vid] = coeff
         self.offset = model.obj_offset
         self.rows_of = [np.flatnonzero(self.A[:, j]) for j in range(n)]
+        # appended columns are continuous, so this stays complete
+        self.binary = np.array([v.id for v in model.vars if v.kind == BINARY], dtype=np.intp)
 
     def append(self, cols: list[dict], lower: float, upper: float, costs) -> None:
         """Add structural columns ({row: coeff} each) after the last one; the
@@ -288,18 +305,30 @@ class _StandardForm:
         self.n = n + k
 
 
+def _standard_form(model: Model) -> _StandardForm:
+    if model._std is None:
+        model._std = _StandardForm(model)
+    return model._std
+
+
 class _DualSimplex:
     """Bounded dual simplex on a standard form under given bounds and costs.
 
-    Keeps an explicit basis inverse, refactorised from the basic columns every
-    ``_REFACTOR_EVERY`` pivots and before optimality is declared.  Rows are
-    priced by dual steepest edge with exact weights; the ratio test passes
-    the breakpoints of boxed columns by flipping them to their other bound
-    (bound-flipping ratio test) and picks the largest pivot among the
-    breakpoints within the dual tolerance (Harris).
+    Keeps an explicit basis inverse, updated at every pivot.  It starts from
+    a carried inverse when it is given one and inverts the basic columns
+    afresh only when an accuracy check fails or ``_REFACTOR_EVERY`` updates
+    have built up, counted across warm starts.  The checks are the pivot
+    element against the pivot row at every pivot, and the primal and dual
+    residuals of x and y recomputed through the inverse (``settle``) when the
+    solver starts and before it declares optimality.  Rows are priced by dual
+    steepest edge with exact weights; the ratio test passes the breakpoints
+    of boxed columns by flipping them to their other bound (bound-flipping
+    ratio test) and picks the largest pivot among the breakpoints within the
+    dual tolerance (Harris).
     """
 
-    def __init__(self, std: _StandardForm, lo, up, cost, head, at_upper):
+    def __init__(self, std: _StandardForm, lo, up, cost, head, at_upper,
+                 inverse: np.ndarray | None = None, updates: int = 0):
         n, m = std.n, std.m
         self.std, self.lo, self.up, self.c = std, lo, up, cost
         self.head = np.array(head, dtype=np.intp)
@@ -311,8 +340,21 @@ class _DualSimplex:
         self.range = up - lo
         self.at_up = (at_upper & finite_up) | (~self.finite_lo & finite_up)
         self.x = np.where(self.at_up, up, np.where(self.finite_lo, lo, 0.0))
-        self.pivots = 0
-        self.refactor()
+        self.pivots = self.refactors = 0
+        if inverse is None:
+            self.refactor()
+        else:
+            self.binv, self.updates = inverse, updates
+            self.settle()
+
+    def resume(self, lo, up, cost, at_upper) -> _DualSimplex:
+        """A solver on this basis under other bounds or costs.  It takes over
+        the inverse, which this solver must not use again, and carries on the
+        pivot and inversion counts."""
+        nxt = _DualSimplex(self.std, lo, up, cost, self.head, at_upper, self.binv, self.updates)
+        nxt.pivots += self.pivots
+        nxt.refactors += self.refactors
+        return nxt
 
     def refactor(self) -> None:
         """Invert the basis from its columns: with the basic logicals covering
@@ -339,6 +381,16 @@ class _DualSimplex:
         binv[kl, logical_rows] = 1.0
         self.binv = binv
         self.updates = 0
+        self.refactors += 1
+        self._recompute()
+        self.checked = True
+
+    def _recompute(self) -> np.ndarray:
+        """x of the basic columns, y, d and the steepest-edge weights through
+        the inverse.  Returns the dual residual c_B - y B: d on the basic
+        columns before they are set to 0."""
+        std, head, binv = self.std, self.head, self.binv
+        n = std.n
         x = self.x
         x[head] = 0.0
         x[head] = -(binv @ (std.A @ x[:n] + x[n:]))
@@ -346,8 +398,24 @@ class _DualSimplex:
         self.d = self.c.copy()
         self.d[:n] -= self.y @ std.A
         self.d[n:] -= self.y
+        residual = self.d[head]
         self.d[head] = 0.0
         self.w = np.einsum("ij,ij->i", binv, binv)
+        return residual
+
+    def settle(self) -> None:
+        """Recompute x, y and d through the current inverse and check it: the
+        primal residual A x + s and the dual residual c_B - y B must vanish to
+        ``_RESIDUAL_TOL`` relative to the size of x and of c_B.  If either
+        fails, the basis is inverted afresh."""
+        dual = np.abs(self._recompute()).max(initial=0.0)
+        std, x = self.std, self.x
+        primal = np.abs(std.A @ x[:std.n] + x[std.n:]).max(initial=0.0)
+        accurate = (primal <= _RESIDUAL_TOL * (1.0 + np.abs(x).max(initial=0.0))
+                    and dual <= _RESIDUAL_TOL * (1.0 + np.abs(self.c[self.head]).max(initial=0.0)))
+        if not accurate:  # NaN residuals fail too
+            self.refactor()
+        self.checked = True
 
     def wrong_sign(self) -> np.ndarray:
         """Mask of the nonbasic columns whose reduced cost points past the
@@ -370,10 +438,11 @@ class _DualSimplex:
         self.x[self.head] -= self.binv @ v
 
     def run(self, stall_pivots: int | None = None) -> str:
-        """Dual phase 2 from a dual feasible basis: 'optimal' once the
-        freshly refactorised basis is primal feasible, 'infeasible' on an
-        unbounded dual ray, 'stalled' after ``stall_pivots`` pivots in a row
-        that barely move the dual (dual degeneracy)."""
+        """Dual phase 2 from a dual feasible basis: 'optimal' once the basis
+        is primal feasible with x, y and d recomputed and checked by
+        ``settle``, 'infeasible' on an unbounded dual ray, 'stalled' after
+        ``stall_pivots`` pivots in a row that barely move the dual (dual
+        degeneracy)."""
         std = self.std
         A, n = std.A, std.n
         flat = 0
@@ -385,9 +454,9 @@ class _DualSimplex:
             infeas = np.maximum(below, above)
             infeas[infeas <= _FEAS_TOL] = 0.0
             if not infeas.any():
-                if self.updates == 0:
+                if self.checked:
                     return "optimal"
-                self.refactor()
+                self.settle()
                 continue
             r = int(np.argmax(infeas * infeas / self.w))
             to_lower = below[r] > 0.0
@@ -464,6 +533,7 @@ class _DualSimplex:
             self.w[touched] = np.einsum("ij,ij->i", binv[touched], binv[touched])
             self.updates += 1
             self.pivots += 1
+            self.checked = False
             if self.updates >= _REFACTOR_EVERY:
                 self.refactor()
         raise KernelError("dual simplex iteration guard tripped")
@@ -489,16 +559,17 @@ def _perturbed(cost: np.ndarray, sim: _DualSimplex, seed: int) -> np.ndarray:
     return cost + np.where((sim.pos < 0) & sim.movable, side * step, 0.0)
 
 
-def _optimize(std: _StandardForm, lo, up, cost, head, at_upper):
-    """Dual simplex from the given basis, with a dual phase 1 when that basis
-    is not dual feasible.  A run that stalls restarts on perturbed costs; its
-    optimal basis then goes back to the true costs, where bound flips (or a
-    dual phase 1) repair what the perturbation hid.  Returns (status, solver,
-    pivots) with status 'optimal', 'infeasible' or 'dual_infeasible' (no dual
-    feasible basis exists, so the LP is unbounded or infeasible)."""
-    sim = _DualSimplex(std, lo, up, cost, head, at_upper)
+def _optimize(std: _StandardForm, lo, up, cost, head, at_upper, inverse=None, updates=0):
+    """Dual simplex from the given basis (and its inverse, if given), with a
+    dual phase 1 when that basis is not dual feasible.  A run that stalls
+    restarts on perturbed costs; its optimal basis then goes back to the true
+    costs, where bound flips (or a dual phase 1) repair what the perturbation
+    hid.  Each stage takes over the inverse of the one before.  Returns
+    (status, solver) with status 'optimal', 'infeasible' or 'dual_infeasible'
+    (no dual feasible basis exists, so the LP is unbounded or infeasible);
+    the solver counts the pivots and inversions of every stage."""
+    sim = _DualSimplex(std, lo, up, cost, head, at_upper, inverse, updates)
     solved = False
-    pivots = 0  # of the solvers already discarded
     flipped = np.zeros(std.n + std.m, dtype=bool)
     for round_no in range(_ROUNDS):
         bad = sim.wrong_sign()
@@ -510,32 +581,29 @@ def _optimize(std: _StandardForm, lo, up, cost, head, at_upper):
             bad[:] = False
         if not bad.any():
             if solved:
-                return "optimal", sim, pivots + sim.pivots
+                return "optimal", sim
         else:
             boxed = bad & np.isfinite(sim.range)
             if boxed.any():
                 sim.flip(np.flatnonzero(boxed))
                 flipped |= boxed
             if (bad & ~boxed).any():
-                alo, aup = _phase1_bounds(lo, up)
-                aux = _DualSimplex(std, alo, aup, cost, sim.head, sim.at_up)
+                aux = sim.resume(*_phase1_bounds(lo, up), cost, sim.at_up)
                 aux.flip(np.flatnonzero(aux.wrong_sign()))
                 if aux.run() != "optimal":
                     raise KernelError("dual phase 1 must reach an optimum")
-                pivots += sim.pivots + aux.pivots
-                sim = _DualSimplex(std, lo, up, cost, aux.head, aux.d < 0.0)
+                sim = aux.resume(lo, up, cost, aux.d < 0.0)
                 bad = sim.wrong_sign()
                 if (bad & ~np.isfinite(sim.range)).any():
-                    return "dual_infeasible", None, pivots
+                    return "dual_infeasible", sim
                 sim.flip(np.flatnonzero(bad))
         status = sim.run(_STALL_PIVOTS)
         if status == "infeasible":
-            return "infeasible", None, pivots + sim.pivots
+            return "infeasible", sim
         solved = status == "optimal"
         if not solved or sim.c is not cost:
-            pivots += sim.pivots
             costs = cost if solved else _perturbed(cost, sim, round_no)
-            sim = _DualSimplex(std, lo, up, costs, sim.head, sim.at_up)
+            sim = sim.resume(lo, up, costs, sim.at_up)
     raise KernelError("dual simplex did not settle on a dual feasible optimum")
 
 
@@ -546,11 +614,11 @@ def solve_lp(model: Model, overrides: dict[int, tuple[float, float]] | None = No
     ``overrides`` tightens variable bounds.  ``basis`` warm-starts the dual
     simplex from an earlier solution's basis, typically the parent's in
     branch and bound, where tightening a bound keeps it dual feasible, or the
-    last solve's before columns were appended.
+    last solve's before columns were appended.  The solve starts from a copy
+    of the basis inverse when the basis carries one, and returns its own
+    final inverse with the basis.
     """
-    if model._std is None:
-        model._std = _StandardForm(model)
-    std = model._std
+    std = _standard_form(model)
     n, m = std.n, std.m
     lo, up = std.lo.copy(), std.up.copy()
     if overrides:
@@ -561,6 +629,7 @@ def solve_lp(model: Model, overrides: dict[int, tuple[float, float]] | None = No
         return LpSolution("infeasible", {}, INF, {}, {})
     up = np.maximum(up, lo)
     at_upper = np.zeros(n + m, dtype=bool)
+    inverse, updates = None, 0
     if basis is None:
         head = np.arange(n, n + m)
     else:
@@ -568,15 +637,21 @@ def solve_lp(model: Model, overrides: dict[int, tuple[float, float]] | None = No
             raise ModelError(f"basis has {len(basis.head)} rows, model has {m}")
         head, upper = basis.columns(n)
         at_upper[upper] = True
+        inverse, updates = basis.inverse, basis.updates
 
-    status, sim, pivots = _optimize(std, lo, up, std.c, head, at_upper)
+    def optimize(cost):
+        return _optimize(std, lo, up, cost, head, at_upper,
+                         None if inverse is None else inverse.copy(), updates)
+
+    status, sim = optimize(std.c)
+    pivots, refactors = sim.pivots, sim.refactors
     if status == "dual_infeasible":
-        status, _, more = _optimize(std, lo, up, np.zeros(n + m), head, at_upper)
-        pivots += more
+        status, sim = optimize(np.zeros(n + m))
+        pivots, refactors = pivots + sim.pivots, refactors + sim.refactors
         if status == "optimal":
-            return LpSolution("unbounded", {}, -INF, {}, {}, pivots=pivots)
+            return LpSolution("unbounded", {}, -INF, {}, {}, pivots=pivots, refactors=refactors)
     if status != "optimal":
-        return LpSolution("infeasible", {}, INF, {}, {}, pivots=pivots)
+        return LpSolution("infeasible", {}, INF, {}, {}, pivots=pivots, refactors=refactors)
     x = sim.x[:n]
     return LpSolution(
         status="optimal",
@@ -584,8 +659,10 @@ def solve_lp(model: Model, overrides: dict[int, tuple[float, float]] | None = No
         objective=float(std.c[:n] @ x + std.offset),
         duals=dict(enumerate(sim.y.tolist())),
         reduced_costs=dict(enumerate(sim.d[:n].tolist())),
-        basis=LpBasis(sim.head.copy(), np.flatnonzero(sim.at_up & (sim.pos < 0)), n),
+        basis=LpBasis(sim.head, np.flatnonzero(sim.at_up & (sim.pos < 0)), n,
+                      sim.binv, sim.updates),
         pivots=pivots,
+        refactors=refactors,
     )
 
 
@@ -676,24 +753,28 @@ def best_first(nodes, plans, expand, deadline: float | None = None, gap_tol: flo
 # Branch and bound
 
 
-def _fractional_binaries(model: Model, values: dict[int, float]):
-    out = []
-    for vid in model.binary_ids:
-        v = values[vid]
-        if min(v, 1.0 - v) > _INT_TOL:
-            out.append((vid, v))
-    return out
+def _branch_variable(std: _StandardForm, values: dict[int, float]) -> int | None:
+    """The most fractional binary, ties toward the lowest id; None when every
+    binary is integral."""
+    x = np.fromiter(values.values(), dtype=float, count=len(values))[std.binary]
+    frac = np.flatnonzero(np.minimum(x, 1.0 - x) > _INT_TOL)
+    return int(std.binary[frac[np.argmin(np.abs(x[frac] - 0.5))]]) if frac.size else None
 
 
 def solve_mip(model: Model, limits: MipLimits | None = None) -> MipSolution:
     """Best-first branch and bound on ``best_first``, branching on the most
     fractional binary (ties toward the lowest variable id).  Both children of
     a node are solved when it is expanded, each re-optimised from the
-    parent's LP basis, so an open node carries its own LP objective and
-    keeps only that basis.  Deterministic for a fixed model."""
+    parent's LP basis and its inverse, so an open node carries its own LP
+    objective and keeps only that basis.  Only the node being expanded and
+    the children of the latest expansion keep their inverse; the children
+    of an older open node invert its basis again.  Deterministic for a
+    fixed model."""
     limits = limits or MipLimits()
     deadline = None if limits.time_limit_s is None else time.monotonic() + limits.time_limit_s
+    std = _standard_form(model)
     lp_calls = 0
+    latest = []  # the node expanded last and its children
 
     def solve_node(overrides, basis=None):
         """The LP of one node as (open nodes, plans): an open node when the
@@ -705,19 +786,24 @@ def solve_mip(model: Model, limits: MipLimits | None = None) -> MipSolution:
             raise KernelError("LP relaxation unbounded; MIP is ill-posed")
         if lp.status != "optimal":
             return [], []
-        frac = _fractional_binaries(model, lp.values)
-        if not frac:
+        branch_var = _branch_variable(std, lp.values)
+        if branch_var is None:
             return [], [(lp.objective, lp.values)]
-        branch_var = min(frac, key=lambda t: (abs(t[1] - 0.5), t[0]))[0]
-        return [(lp.objective, (overrides, branch_var, lp.basis))], []
+        return [(lp.objective, [overrides, branch_var, lp.basis])], []
 
     def expand(node, _objective):
+        # only this node and the latest children keep a basis inverse
+        for other in latest:
+            if other is not node:
+                other[2] = other[2].bare()
+        latest[:] = [node]
         overrides, branch_var, basis = node
         children, plans = [], []
         for fix in (0.0, 1.0):
             kids, found = solve_node({**overrides, branch_var: (fix, fix)}, basis)
             children += kids
             plans += found
+        latest.extend(kid for _, kid in children)
         return children, plans, INF
 
     res = best_first(*solve_node({}), expand, deadline, limits.gap_tol, limits.node_limit)
@@ -725,6 +811,6 @@ def solve_mip(model: Model, limits: MipLimits | None = None) -> MipSolution:
     if res.plan is not None:
         # snap binaries to exact integers for downstream decoding
         vals = dict(res.plan)
-        for vid in model.binary_ids:
+        for vid in std.binary.tolist():
             vals[vid] = round(vals[vid])
     return MipSolution(res.status, vals, res.objective, res.bound, res.gap, lp_calls)

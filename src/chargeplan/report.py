@@ -175,15 +175,18 @@ def parse_csv(text: str) -> list[dict]:
 
 
 def render_cg_log(stats: dict) -> str:
-    """Text view of a branch-and-price run log: one line per column-generation
-    round under each branch node, with the master's simplex pivots and the
+    """Text view of a branch-and-price run log: a header per branch node with
+    its depth, the open flags its branching decides and the (node, location)
+    post intervals it narrows below [0, m_max], then one line per
+    column-generation round with the master's simplex pivots and the
     per-node reduced costs.  Wall times stay out, so the text is the same
     on every run."""
     lines = []
     for entry in stats.get("log", []):
         lines.append(
             f"branch node depth={entry['branch_depth']} "
-            f"fixed_flags={entry['fixings']} -> {entry['status']}"
+            f"fixed_flags={entry['fixings']} post_bounds={entry['post_bounds']} "
+            f"-> {entry['status']}"
         )
         for rec in entry["cg"]:
             rcs = " ".join(

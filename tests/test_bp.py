@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -392,21 +393,28 @@ class TestPersistentMaster:
 
     def test_real_stalls_keep_the_root_master(self, monkeypatch):
         # with a stall threshold of one degenerate pivot, the detector fires
-        # in the master LPs of these root column generations (tiny seed 9,
-        # b=2 among them); every root still converges to the same LP value
+        # in the master LPs of root column generations on a wider tree (7
+        # locations, 7 nodes); the 30 tiny roots no longer stall since warm
+        # starts carry the basis inverse.  Every root still converges to the
+        # same LP value.
         def root_value(inst):
             coeffs = cost_coefficients(inst)
             master = Master(inst, coeffs, columns_from_deployment(inst, coeffs, best_greedy(inst)))
             return column_generation(master, Fixings()).rmp.value
 
+        wider = dataclasses.replace(PRESETS["tiny"], n_zones=6, n_locations=7, n_nodes=7)
         insts = [with_queue(generate(PRESETS["tiny"], seed), b=b)
                  for seed in range(10) for b in range(3)]
+        insts += [with_queue(generate(wider, seed), b=b) for seed in range(4) for b in range(3)]
         expected = [root_value(inst) for inst in insts]
         monkeypatch.setattr(milp, "_STALL_PIVOTS", 1)
         statuses = record_runs(monkeypatch)
+        stalled = []
         for inst, ref in zip(insts, expected):
+            statuses.clear()
             assert root_value(inst) == pytest.approx(ref, rel=1e-9)
-        assert "stalled" in statuses
+            stalled.append("stalled" in statuses)
+        assert sum(stalled[30:]) >= 6
 
     def test_call_counts_match_stats(self, monkeypatch):
         # the traced benchmark wraps bp.solve_rmp and bp.column_generation by

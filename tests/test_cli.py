@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import pytest
 from chargeplan.cli import main
 from chargeplan.evcec import load_solution, objective_value
 from chargeplan.heuristic import best_greedy, local_search
-from chargeplan.instance import load, with_queue
+from chargeplan.instance import PRESETS, generate, load, save, with_queue
 from chargeplan.report import parse_csv
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -131,6 +132,18 @@ class TestSolve:
         code, _ = run_cli(["solve", "--algo", "mip", "--instance", str(tiny_file),
                            "--time-limit", "0.000001"])
         assert code == 3
+
+    @pytest.mark.parametrize("algo", ["mip", "approx", "heuristic", "bp"])
+    def test_proven_infeasible_exits_4(self, algo, tmp_path, capsys):
+        # fifty times the tiny seed 1 demand saturates every station the
+        # instance can build; exit 4 keeps that apart from a usage error (2)
+        inst = generate(PRESETS["tiny"], 1)
+        tree = tuple(dataclasses.replace(n, w=tuple(50 * v for v in n.w)) for n in inst.tree)
+        path = tmp_path / "saturated.json"
+        save(dataclasses.replace(inst, tree=tree), path)
+        code, stdout = run_cli(["solve", "--algo", algo, "--instance", str(path)])
+        assert code == 4 and stdout == ""
+        assert "proven infeasible" in capsys.readouterr().err
 
 
 USAGE_ERRORS = {

@@ -1,12 +1,18 @@
+import dataclasses
+import heapq
 import itertools
 import math
 import random
 import time
+import types
+import weakref
 
 import numpy as np
 import pytest
 
-from chargeplan import milp
+from chargeplan import bp, milp
+from chargeplan.evcec import build_evcec
+from chargeplan.instance import PRESETS, generate, with_queue
 from chargeplan.milp import (
     BINARY,
     EQ,
@@ -759,3 +765,223 @@ class TestAddColumns:
         cold = solve_lp(m)
         assert cold.pivots == 1
         assert solve_lp(m, basis=cold.basis).pivots == 0
+
+
+def multi_knapsack(seed, n=14, rows=3):
+    """Binaries packed under random <= rows at half their total weight: the
+    search keeps many open nodes."""
+    rng = random.Random(seed)
+    model = Model()
+    xs = [model.add_binary() for _ in range(n)]
+    for _ in range(rows):
+        w = [rng.randint(5, 30) for _ in xs]
+        model.add_constraint(list(zip(xs, w)), LE, sum(w) // 2)
+    model.set_objective([(x, -rng.randint(10, 40)) for x in xs])
+    return model
+
+
+def count_live_inverses(monkeypatch, module):
+    """Watch a search: returns a dict updated on every solve_lp call through
+    ``module`` with the most bases alive with an inverse at any call (the
+    returned one included) and the most nodes on the search heap."""
+    seen = {"inverses": 0, "heap": 0}
+    refs = []
+
+    def push(heap, item):
+        heapq.heappush(heap, item)
+        seen["heap"] = max(seen["heap"], len(heap))
+
+    def live():
+        return sum(1 for r in refs if r() is not None and r().inverse is not None)
+
+    solve = module.solve_lp
+
+    def watched(*args, **kwargs):
+        seen["inverses"] = max(seen["inverses"], live())
+        sol = solve(*args, **kwargs)
+        if sol.basis is not None:
+            refs.append(weakref.ref(sol.basis))
+        seen["inverses"] = max(seen["inverses"], live())
+        return sol
+
+    monkeypatch.setattr(milp, "heapq", types.SimpleNamespace(heappush=push,
+                                                             heappop=heapq.heappop))
+    monkeypatch.setattr(module, "solve_lp", watched)
+    return seen
+
+
+class TestCarriedInverse:
+    """Warm starts carry the basis inverse; a solve re-inverts only when an
+    accuracy check fails or the updates built up."""
+
+    def test_residual_tolerance_is_tighter_than_feasibility(self):
+        assert min(milp._FEAS_TOL, milp._OPT_TOL) / milp._RESIDUAL_TOL >= 100 - 1e-9
+
+    def test_warm_chains_match_cold_solves(self):
+        # random LPs re-solved under random boxes on two variables near their
+        # last value, each solve warm-started from the last optimal one, so an
+        # inverse and its update count carry along the chain
+        rng = random.Random(2024)
+        checked = optimal = pivoted = 0
+        for _ in range(100):
+            m = random_lp(rng, rng.randint(3, 8), rng.randint(2, 6))
+            last = solve_lp(m)
+            if last.status != "optimal":
+                continue
+            for _step in range(8):
+                overrides = {}
+                for vid in rng.sample(range(m.num_vars), 2):
+                    mid = last.values[vid] + rng.uniform(-1.0, 1.0)
+                    overrides[vid] = (mid - 0.5, mid + 0.5)
+                warm = solve_lp(m, overrides, basis=last.basis)
+                cold = solve_lp(m, overrides)
+                assert warm.status == cold.status
+                checked += 1
+                if warm.status == "optimal":
+                    assert warm.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-9)
+                    optimal += 1
+                    pivoted += warm.pivots > 0 and warm.refactors == 0
+                    last = warm
+        assert checked >= 400 and optimal >= 150 and pivoted >= 50
+
+    def test_branch_and_bound_dives_match_cold_solves(self):
+        # dives that fix the most fractional binary, each child warm from its
+        # parent, on random MIPs and a tiny exact model
+        rng = random.Random(5)
+        models = [random_mip(rng) for _ in range(30)] + [multi_knapsack(s) for s in range(3)]
+        models.append(build_evcec(generate(PRESETS["tiny"], 3)).model)
+        checked = 0
+        for m in models:
+            parent, overrides = solve_lp(m), {}
+            while parent.status == "optimal":
+                branch = milp._branch_variable(m._std, parent.values)
+                if branch is None:
+                    break
+                kids = []
+                for fix in (0.0, 1.0):
+                    child = {**overrides, branch: (fix, fix)}
+                    warm = solve_lp(m, child, basis=parent.basis)
+                    cold = solve_lp(m, child)
+                    assert warm.status == cold.status
+                    checked += 1
+                    if warm.status == "optimal":
+                        assert warm.objective == pytest.approx(cold.objective,
+                                                               rel=1e-9, abs=1e-9)
+                        kids.append((child, warm))
+                if not kids:
+                    break
+                overrides, parent = rng.choice(kids)
+        assert checked >= 100
+
+    def test_appended_columns_keep_the_inverse(self):
+        # columns appended round after round, each round warm from the last:
+        # the grown model matches a cold rebuild, and an append alone costs
+        # no inversion
+        rng = random.Random(91)
+        solved = kept = 0
+        for _ in range(30):
+            n, m = rng.randint(2, 5), rng.randint(2, 5)
+            grown = random_lp(rng, n, m)
+            last = solve_lp(grown)
+            for _round in range(5):
+                if last.status != "optimal":
+                    break
+                k = rng.randint(1, 4)
+                grown.add_columns([rng.uniform(-2, 2) for _ in range(k)],
+                                  [[(i, rng.uniform(-2, 2)) for i in range(m)
+                                    if rng.random() < 0.6] for _ in range(k)],
+                                  0.0, rng.choice([1.0, 3.0]))
+                fresh = Model()
+                for v in grown.vars:
+                    fresh.add_var(v.kind, v.lower, v.upper)
+                for con in grown.cons:
+                    fresh.add_constraint(con.terms, con.sense, con.rhs)
+                fresh.set_objective(grown.obj.items(), grown.obj_offset)
+                warm, cold = solve_lp(grown, basis=last.basis), solve_lp(fresh)
+                assert warm.status == cold.status
+                if cold.status == "optimal":
+                    assert warm.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-9)
+                    solved += 1
+                    kept += warm.refactors == 0
+                last = warm
+        assert solved >= 60 and kept >= solved // 2
+
+    @pytest.mark.parametrize("noise", [1e-6, 1e-3])
+    def test_corrupted_inverse_is_inverted_again(self, noise):
+        # noise on a carried inverse fails the residual check, so the solve
+        # inverts the basis afresh and ends at the cold optimum, whether it
+        # needs pivots (children) or none (the same LP again)
+        rng = random.Random(13)
+        noisy = np.random.default_rng(13)
+        checked = 0
+        for trial in range(40):
+            m = random_mip(rng)
+            root = solve_lp(m)
+            if root.status != "optimal":
+                continue
+            basis = root.basis
+            bad = LpBasis(basis.head, basis.at_upper, basis.n,
+                          basis.inverse + noise * noisy.standard_normal(basis.inverse.shape),
+                          basis.updates)
+            cases = [{}] + [{vid: (fix, fix)} for vid in m.binary_ids[:2] for fix in (0.0, 1.0)]
+            for over in cases:
+                cold = solve_lp(m, over)
+                warm = solve_lp(m, over, basis=bad)
+                assert warm.status == cold.status, f"trial {trial}"
+                if cold.status == "optimal":
+                    assert warm.refactors >= 1
+                    assert warm.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-9)
+                    checked += 1
+        assert checked >= 50
+
+    def test_updates_counted_across_warm_starts(self, monkeypatch):
+        # with an inversion due every 3 updates, no carried inverse holds 3
+        # or more, and solves that pivot fewer than 3 times still re-invert
+        # once the updates carried in reach the limit
+        monkeypatch.setattr(milp, "_REFACTOR_EVERY", 3)
+        rng = random.Random(8)
+        carried_over = 0
+        for _ in range(20):
+            m = random_mip(rng)
+            last = solve_lp(m)
+            for vid in m.binary_ids:
+                if last.status != "optimal":
+                    break
+                sol = solve_lp(m, {vid: (1.0, 1.0)}, basis=last.basis)
+                if sol.status == "optimal":
+                    assert sol.basis.updates < 3
+                    carried_over += (sol.refactors >= 1 and sol.pivots < 3
+                                     and last.basis.updates + sol.pivots >= 3)
+                    last = sol
+        assert carried_over >= 10
+
+    def test_warm_children_of_a_tiny_mip_rarely_invert(self, monkeypatch):
+        solve, calls = milp.solve_lp, []
+
+        def recorded(model, overrides=None, basis=None):
+            calls.append((basis, solve(model, overrides, basis)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(milp, "solve_lp", recorded)
+        sol = solve_mip(build_evcec(with_queue(generate(PRESETS["tiny"], 3), b=0)).model)
+        assert sol.status == "optimal"
+        root = [s for basis, s in calls if basis is None]
+        warm = [s for basis, s in calls if basis is not None and basis.inverse is not None]
+        assert len(root) == 1 and root[0].refactors >= 1
+        assert len(warm) >= 10
+        assert sum(s.refactors == 0 for s in warm) > 0.8 * len(warm)
+        assert all(s.refactors >= 1 for basis, s in calls
+                   if basis is not None and basis.inverse is None)
+
+    def test_branch_and_bound_keeps_few_inverses(self, monkeypatch):
+        seen = count_live_inverses(monkeypatch, milp)
+        sol = solve_mip(multi_knapsack(0))
+        assert sol.status == "optimal"
+        assert seen["heap"] >= 20 and seen["inverses"] <= 3
+
+    def test_branch_and_price_keeps_few_inverses(self, monkeypatch):
+        wider = dataclasses.replace(PRESETS["tiny"], n_zones=6, n_locations=7, n_nodes=7)
+        seen = count_live_inverses(monkeypatch, bp)
+        res = bp.branch_and_price(with_queue(generate(wider, 2), b=1))
+        assert res.status == "optimal"
+        assert seen["heap"] >= 8 and seen["inverses"] <= 3

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from chargeplan.bp import branch_and_price
 from chargeplan.evcec import Deployment, build_evcec, decode_deployment, station_rates
 from chargeplan.instance import PRESETS, generate, with_queue
 from chargeplan.milp import solve_mip
@@ -11,6 +12,7 @@ from chargeplan.report import (
     compare_metrics,
     parse_csv,
     queue_report,
+    render_cg_log,
     render_tables,
 )
 
@@ -124,3 +126,24 @@ class TestRenderTables:
         rows = [{"instance_id": "x", "algo": "bp", "M": 1, "b": 0, "gap": math.inf}]
         _, csv_text = render_tables(rows)
         assert parse_csv(csv_text)[0]["gap"] == ""
+
+
+class TestRenderCgLog:
+    def test_text(self):
+        stats = {"log": [{"branch_depth": 1, "fixings": 2, "post_bounds": 3,
+                          "status": "converged",
+                          "cg": [{"round": 0, "rmp_value": 1234.5, "lagrangian_lb": -math.inf,
+                                  "pivots": 7, "columns_added": 2,
+                                  "reduced_costs": {2: -1.5, 1: 0.0}}]}]}
+        assert render_cg_log(stats) == (
+            "branch node depth=1 fixed_flags=2 post_bounds=3 -> converged\n"
+            "  round   0  rmp=1234.5  lb=-  piv=7  cols+2  rc[1:0 2:-1.5]\n")
+
+    def test_post_count_branch_shows_in_the_header(self):
+        # tiny seed 13 (b=0) branches at the root on a post count: the child
+        # decides no open flag, but narrows one post interval
+        res = branch_and_price(with_queue(generate(PRESETS["tiny"], 13), b=0))
+        headers = [line.rsplit(" -> ", 1)[0] for line in render_cg_log(res.stats).splitlines()
+                   if line.startswith("branch node")]
+        assert headers == ["branch node depth=0 fixed_flags=0 post_bounds=0",
+                           "branch node depth=1 fixed_flags=0 post_bounds=1"]
