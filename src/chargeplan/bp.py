@@ -20,10 +20,13 @@ master: a column they rule out keeps its lambda at 0 through a bound override.
 
 Pricing is exact and needs no MILP: once a node's open vector is fixed,
 arrival rates follow in closed form from the logit shares and each open
-station takes its cheapest admissible post count, so ``solve_pricing``
-enumerates the node's free open flags in vectorised blocks and returns the
-best few columns.  Every complete round therefore gives a valid Lagrangian
-bound, and a node's bound is the best of its rounds.
+station takes its cheapest admissible post count, both from ``evcec``'s
+evaluator of an open pattern (``pattern_rates`` and ``min_posts``, which the
+greedy uses too), so ``solve_pricing`` enumerates the node's free open flags
+in vectorised blocks and returns the best few columns.  A column is a node's
+post vector; its open flags are the stations with a post (row 3h).  Every
+complete round gives a valid Lagrangian bound, and a node's bound is the best
+of its rounds.
 
 Branching splits the post count of one (node, location) into posts <= split
 and posts >= split + 1.  A station is open exactly when it has a post (row
@@ -51,7 +54,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .evcec import Deployment, check_feasible, objective_value
+from .evcec import Deployment, check_feasible, min_posts, objective_value, pattern_rates
 from .heuristic import (
     Criterion,
     InfeasibleInstanceError,
@@ -59,7 +62,7 @@ from .heuristic import (
     greedy,
     local_search,
 )
-from .instance import Instance, attraction_matrix, coverage_sets, rho_table_for
+from .instance import Instance
 from .milp import EQ, GE, INF, LpBasis, Model, best_first, solve_lp
 
 PENALTY_COST = 1e7   # linking-row slack and convexity-row artificial price
@@ -72,16 +75,16 @@ MAX_FREE_FLAGS = 30   # beyond this, enumerating a node's patterns is out of rea
 
 @dataclass(frozen=True)
 class Column:
-    """One in-scenario point for one node: open pattern, post counts, and its
-    telescoped cost contribution."""
+    """One in-scenario point for one node: its post counts, and its telescoped
+    cost contribution.  A station is open exactly when it has a post (row
+    3h), so the counts are the whole pattern."""
 
     node: int
-    open: tuple[bool, ...]
     posts: tuple[int, ...]
     cost: float
 
     def key(self):
-        return (self.node, self.open, self.posts)
+        return (self.node, self.posts)
 
 
 @dataclass(frozen=True)
@@ -123,10 +126,10 @@ class RmpSolution:
             for col, lam in zip(cols, lams):
                 if lam <= 0.0:
                     continue
-                for j in range(inst.n_locations):
-                    if col.open[j]:
+                for j, p in enumerate(col.posts):
+                    if p > 0:
                         xrow[j] += lam
-                    prow[j] += lam * col.posts[j]
+                    prow[j] += lam * p
             xbar[n] = tuple(xrow)
             pbar[n] = tuple(prow)
         return xbar, pbar
@@ -216,22 +219,20 @@ def cost_coefficients(inst: Instance) -> CostCoeffs:
     return CostCoeffs(c1=c1, c2=c2, psi=psi)
 
 
-def column_cost(coeffs: CostCoeffs, n: int, open_row, posts_row) -> float:
+def column_cost(coeffs: CostCoeffs, n: int, posts_row) -> float:
     return sum(
-        coeffs.c1[n, j] * (1.0 if open_row[j] else 0.0) + coeffs.c2[n, j] * posts_row[j]
-        for j in range(len(open_row))
+        coeffs.c1[n, j] * (1.0 if p > 0 else 0.0) + coeffs.c2[n, j] * p
+        for j, p in enumerate(posts_row)
     )
 
 
-def make_column(coeffs: CostCoeffs, n: int, open_row, posts_row) -> Column:
-    open_t = tuple(bool(v) for v in open_row)
+def make_column(coeffs: CostCoeffs, n: int, posts_row) -> Column:
     posts_t = tuple(int(v) for v in posts_row)
-    return Column(node=n, open=open_t, posts=posts_t,
-                  cost=column_cost(coeffs, n, open_t, posts_t))
+    return Column(node=n, posts=posts_t, cost=column_cost(coeffs, n, posts_t))
 
 
 def columns_from_deployment(inst: Instance, coeffs: CostCoeffs, dep: Deployment) -> list:
-    return [make_column(coeffs, n, dep.open[n], dep.posts[n]) for n in inst.node_ids()]
+    return [make_column(coeffs, n, dep.posts[n]) for n in inst.node_ids()]
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +288,8 @@ class Master:
         n = col.node
         kids = self.inst.children(n)
         out = [(self.row_conv[n], 1.0)]
-        for rows, row in ((self.row_open, [float(v) for v in col.open]),
-                          (self.row_posts, [float(v) for v in col.posts])):
+        for rows, row in ((self.row_open, [1.0 if p > 0 else 0.0 for p in col.posts]),
+                          (self.row_posts, [float(p) for p in col.posts])):
             for j, v in enumerate(row):
                 if v:
                     out.append((rows[n, j], v))
@@ -360,50 +361,25 @@ class PricingOutcome:
     status: str                 # optimal | infeasible
 
 
-def zone_arrays(inst: Instance, n: int):
-    """Node n's zones by locations: coverage (0/1) and coverage-masked
-    attraction, then the zone weights theta, w and bcoef."""
-    cov = coverage_sets(inst)
-    node = inst.node(n)
-    near = np.array([[j in cov.locs_near[n][i] for j in range(inst.n_locations)]
-                     for i in range(inst.n_zones)], dtype=float)
-    attr = near * np.array(attraction_matrix(inst))
-    return near, attr, np.array(node.theta), np.array(node.w), np.array(node.bcoef)
-
-
-def pattern_rates(zones, x: np.ndarray):
-    """``station_rates`` for each row of the 0/1 matrix x (patterns by
-    locations) at the node of ``zones``, and whether the row covers every
-    zone (an uncovered row's rates mean nothing)."""
-    near, attr, theta, w, bcoef = zones
-    open_near = x @ near.T
-    denom = x @ attr.T
-    covered = (open_near > 0).all(axis=1)
-    denom[open_near == 0] = 1.0
-    rates = ((theta * (w + bcoef * open_near)) / denom) @ attr * x
-    return rates, covered
-
-
 def solve_pricing(inst: Instance, n: int, coeffs: CostCoeffs, duals: RmpDuals,
                   fixings: Fixings) -> PricingOutcome:
     """Price one node exactly by enumerating its free open flags x.
 
-    For a fixed x the arrival rates are closed form, and each open station
-    takes the cheapest post count in [max(1, kmin, lo), min(m_max, hi)], with
-    (lo, hi) its branching interval and kmin as in ``heuristic.min_posts``:
-    the low end when a post's reduced cost is >= 0, else the high end.  The
-    interval closes (hi = 0), opens (lo >= 1) or leaves free each flag; an
-    empty interval or an uncovered zone rules x out.  Blocks of patterns run
-    in bound order (the decided open flags at congestion-free cost plus the
-    undecided ones' negative parts) until no block can improve the result.
+    For a fixed x the arrival rates are closed form (``evcec.pattern_rates``),
+    and each open station takes the cheapest post count in [max(kmin, lo),
+    min(m_max, hi)], with (lo, hi) its branching interval and kmin the fewest
+    posts that absorb its rate (``evcec.min_posts``): the low end when a
+    post's reduced cost is >= 0, else the high end.  The interval closes
+    (hi = 0), opens (lo >= 1) or leaves free each flag; an empty interval or
+    an uncovered zone rules x out.  Blocks of patterns run in bound order
+    (the decided open flags at congestion-free cost plus the undecided ones'
+    negative parts) until no block can improve the result.
     Returns the PRICING_COLUMNS best columns with rc < -RC_TOL, ties by
     pattern index.
     """
     nloc = inst.n_locations
     kids = inst.children(n)
     sigma = duals.sigma[n]
-    caps = inst.queue.mu * np.array(rho_table_for(inst).values)
-    zones = zone_arrays(inst, n)
     cx = np.array([coeffs.c1[n, j] - duals.pi1[n, j] + sum(duals.pi1[c, j] for c in kids)
                    for j in range(nloc)])
     cy = np.array([coeffs.c2[n, j] - duals.pi2[n, j] + sum(duals.pi2[c, j] for c in kids)
@@ -441,8 +417,8 @@ def solve_pricing(inst: Instance, n: int, coeffs: CostCoeffs, duals: RmpDuals,
         x = np.tile(base, (size, 1))
         x[:, inner] = inner_bits
         x[:, outer] = (block >> np.arange(len(outer))) & 1
-        rates, covered = pattern_rates(zones, x)
-        lo = np.maximum(np.searchsorted(caps, rates) + 1, lo_fix)  # first cap >= rate
+        rates, covered = pattern_rates(inst, n, x)
+        lo = np.maximum(min_posts(inst, rates), lo_fix)
         is_open = x > 0
         ok = covered & ~(is_open & (lo > hi_fix)).any(axis=1)
         posts = np.where(is_open, np.where(cy >= 0, lo, hi_fix), 0)[ok]
@@ -454,8 +430,8 @@ def solve_pricing(inst: Instance, n: int, coeffs: CostCoeffs, duals: RmpDuals,
     if not len(best_obj):
         return PricingOutcome([], math.inf, "infeasible")
     rcs = best_obj - sigma
-    columns = [make_column(coeffs, n, posts > 0, posts)  # open iff it has posts
-               for posts, rc in zip(best_posts, rcs) if rc < -RC_TOL]
+    columns = [make_column(coeffs, n, posts) for posts, rc in zip(best_posts, rcs)
+               if rc < -RC_TOL]
     return PricingOutcome(columns, float(rcs[0]), "optimal")
 
 

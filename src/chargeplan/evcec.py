@@ -2,8 +2,11 @@
 
 Builds the exact MILP from an Instance, its partial relaxation (post-count
 indicators relaxed to [0,1]), and evaluates decoded solutions: logit choice
-probabilities, station arrival rates, the expected-cost objective, and a full
-feasibility audit.
+probabilities, the expected-cost objective, and a full feasibility audit.
+It is also the one evaluator of an open pattern at a node, which the greedy
+and branch-and-price pricing share: ``pattern_rates`` gives the arrival rates
+of many patterns at once (``station_rates`` of one), and ``min_posts`` the
+fewest posts that absorb each rate.
 
 Constraint families carry the model's row labels (3b..3m):
 
@@ -20,6 +23,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
+
+import numpy as np
 
 from .instance import (
     Instance,
@@ -77,26 +83,58 @@ def logit_probabilities(inst: Instance, open_flags, n: int, i: int) -> dict[int,
     return {j: (attr[i][j] / denom if open_flags[j] else 0.0) for j in near}
 
 
-def station_rates(inst: Instance, open_flags, n: int) -> tuple[float, ...]:
-    """All station arrival rates at node n for a given open vector.
-
-    lambda[j] accumulates theta_i * (w_i * p_ij + bcoef_i * p_ij * open_near_i)
-    over zones i near j, where p_ij is the logit share and open_near_i the
-    number of open stations within zone i's radius.
-    """
+@lru_cache(maxsize=128)
+def zone_arrays(inst: Instance, n: int):
+    """Node n's zones by locations: coverage (0/1) and coverage-masked
+    attraction, then the zone weights theta, w and bcoef.  Read-only: the
+    cache hands the same arrays to every caller."""
     cov = coverage_sets(inst)
     node = inst.node(n)
-    rates = [0.0] * inst.n_locations
-    for i in range(inst.n_zones):
-        near = cov.locs_near[n][i]
-        open_near = sum(1 for k in near if open_flags[k])
-        if open_near == 0:
-            raise CoverageError(f"zone {i} has no open covering station at node {n}")
-        shares = logit_probabilities(inst, open_flags, n, i)
-        for j, p in shares.items():
-            if p > 0.0:
-                rates[j] += node.theta[i] * (node.w[i] * p + node.bcoef[i] * p * open_near)
-    return tuple(rates)
+    near = np.array([[j in cov.locs_near[n][i] for j in range(inst.n_locations)]
+                     for i in range(inst.n_zones)], dtype=float)
+    arrays = (near, near * np.array(attraction_matrix(inst)), np.array(node.theta),
+              np.array(node.w), np.array(node.bcoef))
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+def pattern_rates(inst: Instance, n: int, x: np.ndarray):
+    """Station arrival rates at node n for each row of the 0/1 matrix x
+    (patterns by locations), and whether the row covers every zone (an
+    uncovered row's rates mean nothing).
+
+    lambda[j] accumulates theta_i * (w_i + bcoef_i * open_near_i) * p_ij over
+    zones i near j, where p_ij is the logit share and open_near_i the number
+    of open stations within zone i's radius.
+    """
+    near, attr, theta, w, bcoef = zone_arrays(inst, n)
+    open_near = x @ near.T
+    denom = x @ attr.T
+    covered = (open_near > 0).all(axis=1)
+    denom[open_near == 0] = 1.0
+    rates = ((theta * (w + bcoef * open_near)) / denom) @ attr * x
+    return rates, covered
+
+
+def station_rates(inst: Instance, open_flags, n: int) -> tuple[float, ...]:
+    """All station arrival rates at node n for one open vector (see
+    ``pattern_rates``); raises CoverageError when a zone has no open
+    covering station."""
+    x = np.array([open_flags], dtype=float)
+    rates, covered = pattern_rates(inst, n, x)
+    if not covered[0]:
+        i = int(np.argmin(zone_arrays(inst, n)[0] @ x[0]))
+        raise CoverageError(f"zone {i} has no open covering station at node {n}")
+    return tuple(rates[0].tolist())
+
+
+def min_posts(inst: Instance, rates) -> np.ndarray:
+    """The fewest posts whose threshold capacity mu * rho_k absorbs each
+    rate: the first k with mu * rho_k >= rate, or one more than the largest
+    tabulated count when none does."""
+    caps = inst.queue.mu * np.array(rho_table_for(inst).values)
+    return np.searchsorted(caps, rates) + 1
 
 
 # ---------------------------------------------------------------------------

@@ -2,21 +2,22 @@
 
 The greedy walks the scenario tree top-down, carrying the parent deployment as
 a floor (stations never close, posts never shrink).  At each node it keeps
-every zone covered, sizes posts to the smallest count whose threshold capacity
-absorbs the station's arrival rate, and opens an extra station whenever some
-station's demand cannot be absorbed within its post cap.  Three different
-station-opening criteria give three different feasible plans; the local search
-then tries closing each non-initial station and repairing.
+every zone covered, sizes every open station at once with ``evcec``'s
+evaluator (the arrival rates of ``station_rates``, then the fewest posts of
+``min_posts``, raised to the parent's count), and opens an extra station
+whenever some station's demand cannot be absorbed within its post cap.  Three
+different station-opening criteria give three different feasible plans; the
+local search then tries closing each non-initial station and repairing.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
-from .evcec import Deployment, objective_value, station_rates
-from .instance import Instance, coverage_sets, rho_table_for
-from .queueing import RhoTable
+import numpy as np
+
+from .evcec import Deployment, min_posts, objective_value, station_rates
+from .instance import Instance, coverage_sets
 
 
 class InfeasibleInstanceError(RuntimeError):
@@ -31,16 +32,6 @@ class Criterion(enum.Enum):
 
 
 ALL_CRITERIA = (Criterion.MOST_ZONES, Criterion.LOWEST_COST, Criterion.LOWEST_COST_PER_ZONE)
-
-
-def min_posts(lam: float, mu: float, rho: RhoTable, m_max: int, floor_k: int) -> int | None:
-    """Smallest post count k in [max(1, floor_k), m_max] with mu*rho_k >= lam;
-    None when even m_max posts cannot absorb the arrival rate."""
-    start = max(1, floor_k)
-    for k in range(start, m_max + 1):
-        if mu * rho.cap(k) >= lam:
-            return k
-    return None
 
 
 def _station_score(inst: Instance, cov, n: int, j: int, criterion: Criterion) -> float:
@@ -79,9 +70,8 @@ def greedy(inst: Instance, criterion: Criterion, banned=frozenset(),
     coverage or capacity cannot be restored with the remaining locations.
     """
     cov = coverage_sets(inst)
-    rho = rho_table_for(inst)
-    mu = inst.queue.mu
     nloc = inst.n_locations
+    m_max = np.array([loc.m_max for loc in inst.locations])
     for j in banned:
         if inst.locations[j].x0:
             raise InfeasibleInstanceError(f"location {j} has an initial station; it cannot close")
@@ -109,19 +99,11 @@ def greedy(inst: Instance, criterion: Criterion, banned=frozenset(),
                         f"zone {i} cannot be covered at node {n} with available locations"
                     )
                 open_n[_pick(inst, cov, n, candidates, criterion)] = True
-            # size posts against the resulting arrival rates
+            # size posts against the resulting arrival rates, never below
+            # the parent's count
             rates = station_rates(inst, open_n, n)
-            posts_n = [0] * nloc
-            overloaded = False
-            for j in range(nloc):
-                if not open_n[j]:
-                    continue
-                k = min_posts(rates[j], mu, rho, inst.locations[j].m_max, posts_prev[j])
-                if k is None:
-                    overloaded = True
-                    break
-                posts_n[j] = k
-            if not overloaded:
+            posts_n = np.where(open_n, np.maximum(min_posts(inst, rates), posts_prev), 0)
+            if (posts_n <= m_max).all():
                 break
             spare = [j for j in range(nloc) if not open_n[j] and j not in banned]
             if not spare:
@@ -130,7 +112,7 @@ def greedy(inst: Instance, criterion: Criterion, banned=frozenset(),
                 )
             open_n[_pick(inst, cov, n, spare, criterion)] = True
         open_map[n] = tuple(open_n)
-        posts_map[n] = tuple(posts_n)
+        posts_map[n] = tuple(posts_n.tolist())
         open_prev, posts_prev = open_n, posts_n
 
     return Deployment(open=open_map, posts=posts_map)

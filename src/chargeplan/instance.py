@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .queueing import QueueConfig, QueueDomainError, rho_alpha_table

@@ -311,6 +311,31 @@ def _standard_form(model: Model) -> _StandardForm:
     return model._std
 
 
+def _invert(std: _StandardForm, head: np.ndarray) -> np.ndarray:
+    """The inverse of the basis ``head``: with the basic logicals covering
+    rows L, only the square block of basic structurals on the other rows
+    needs a dense inverse."""
+    n, m = std.n, std.m
+    ks = np.flatnonzero(head < n)
+    kl = np.flatnonzero(head >= n)
+    cols, logical_rows = head[ks], head[kl] - n
+    rest = np.ones(m, dtype=bool)
+    rest[logical_rows] = False
+    rows = np.flatnonzero(rest)
+    binv = np.zeros((m, m))
+    if ks.size:
+        try:
+            inv = np.linalg.inv(std.A[np.ix_(rows, cols)])
+        except np.linalg.LinAlgError:
+            raise KernelError("singular basis") from None
+        if not np.isfinite(inv).all():
+            raise KernelError("singular basis")
+        binv[np.ix_(ks, rows)] = inv
+        binv[np.ix_(kl, rows)] = -std.A[np.ix_(logical_rows, cols)] @ inv
+    binv[kl, logical_rows] = 1.0
+    return binv
+
+
 class _DualSimplex:
     """Bounded dual simplex on a standard form under given bounds and costs.
 
@@ -357,29 +382,8 @@ class _DualSimplex:
         return nxt
 
     def refactor(self) -> None:
-        """Invert the basis from its columns: with the basic logicals covering
-        rows L, only the square block of basic structurals on the other rows
-        needs a dense inverse."""
-        std, head = self.std, self.head
-        n, m = std.n, std.m
-        ks = np.flatnonzero(head < n)
-        kl = np.flatnonzero(head >= n)
-        cols, logical_rows = head[ks], head[kl] - n
-        rest = np.ones(m, dtype=bool)
-        rest[logical_rows] = False
-        rows = np.flatnonzero(rest)
-        binv = np.zeros((m, m))
-        if ks.size:
-            try:
-                inv = np.linalg.inv(std.A[np.ix_(rows, cols)])
-            except np.linalg.LinAlgError:
-                raise KernelError("singular basis") from None
-            if not np.isfinite(inv).all():
-                raise KernelError("singular basis")
-            binv[np.ix_(ks, rows)] = inv
-            binv[np.ix_(kl, rows)] = -std.A[np.ix_(logical_rows, cols)] @ inv
-        binv[kl, logical_rows] = 1.0
-        self.binv = binv
+        """Invert the basis afresh from its columns."""
+        self.binv = _invert(self.std, self.head)
         self.updates = 0
         self.refactors += 1
         self._recompute()
@@ -767,9 +771,9 @@ def solve_mip(model: Model, limits: MipLimits | None = None) -> MipSolution:
     a node are solved when it is expanded, each re-optimised from the
     parent's LP basis and its inverse, so an open node carries its own LP
     objective and keeps only that basis.  Only the node being expanded and
-    the children of the latest expansion keep their inverse; the children
-    of an older open node invert its basis again.  Deterministic for a
-    fixed model."""
+    the children of the latest expansion keep their inverse; an older open
+    node's basis is inverted again once, when it is expanded, for both of
+    its children.  Deterministic for a fixed model."""
     limits = limits or MipLimits()
     deadline = None if limits.time_limit_s is None else time.monotonic() + limits.time_limit_s
     std = _standard_form(model)
@@ -798,6 +802,8 @@ def solve_mip(model: Model, limits: MipLimits | None = None) -> MipSolution:
                 other[2] = other[2].bare()
         latest[:] = [node]
         overrides, branch_var, basis = node
+        if basis.inverse is None:
+            basis = LpBasis(basis.head, basis.at_upper, basis.n, _invert(std, basis.head))
         children, plans = [], []
         for fix in (0.0, 1.0):
             kids, found = solve_node({**overrides, branch_var: (fix, fix)}, basis)

@@ -50,12 +50,6 @@ class QueueReport:
     service_ok: bool
     unstable: tuple[tuple[int, int], ...]
 
-    def station(self, n: int, j: int) -> StationReportRow:
-        for row in self.rows:
-            if row.node == n and row.location == j:
-                return row
-        raise KeyError((n, j))
-
 
 def queue_report(inst: Instance, dep: Deployment, b: int | None = None) -> QueueReport:
     """Per-station steady-state measures plus probability-weighted averages.

@@ -4,7 +4,6 @@ import math
 import random
 import time
 
-import numpy as np
 import pytest
 
 from chargeplan import bp, milp
@@ -25,14 +24,11 @@ from chargeplan.bp import (
     columns_from_deployment,
     cost_coefficients,
     make_column,
-    pattern_rates,
     primal_repair,
     solve_pricing,
     solve_rmp,
-    zone_arrays,
 )
 from chargeplan.evcec import (
-    CoverageError,
     Deployment,
     _add_scenario_rows,
     _make_scenario_vars,
@@ -42,7 +38,7 @@ from chargeplan.evcec import (
     objective_value,
     station_rates,
 )
-from chargeplan.heuristic import best_greedy, local_search, min_posts
+from chargeplan.heuristic import best_greedy, local_search
 from chargeplan.instance import (
     Instance,
     Location,
@@ -60,6 +56,7 @@ from chargeplan.queueing import QueueConfig
 from chargeplan.report import render_cg_log
 
 from test_evcec import hand_instance
+from test_heuristic import posts_by_loop
 from test_milp import record_runs
 
 
@@ -108,8 +105,6 @@ def random_monotone_deployment(inst, rng):
 def enumerate_scenario_points(inst, n):
     """Brute-force oracle: every in-scenario feasible (open, posts) pair."""
     cov = coverage_sets(inst)
-    rho = rho_table_for(inst)
-    mu = inst.queue.mu
     nloc = inst.n_locations
     points = []
     for mask in itertools.product((False, True), repeat=nloc):
@@ -126,7 +121,7 @@ def enumerate_scenario_points(inst, n):
                 ranges.append((0,))
                 continue
             mj = inst.locations[j].m_max
-            kmin = min_posts(rates[j], mu, rho, mj, 0)
+            kmin = posts_by_loop(inst, rates[j], mj, 0)
             if kmin is None:
                 feasible = False
                 break
@@ -202,7 +197,7 @@ def random_fixings(inst, n, rng):
 def slice_violations(inst, n, col):
     """Rows 3b/3c/3h (and the post cap) the column breaks as node n's slice,
     audited with no tolerance."""
-    dep = Deployment(open=dict.fromkeys(inst.node_ids(), col.open),
+    dep = Deployment(open=dict.fromkeys(inst.node_ids(), tuple(p > 0 for p in col.posts)),
                      posts=dict.fromkeys(inst.node_ids(), col.posts))
     return [v for v in check_feasible(inst, dep, tol=0.0).violations
             if v.node == n and v.family in ("3b", "3c", "3h", "3l")]
@@ -222,24 +217,25 @@ def check_pricing_against_oracles(inst, n, coeffs, duals, fixings, points=None):
     assert out.reduced_cost == pytest.approx(mip.objective - sigma, rel=1e-9, abs=1e-6)
     cx, cy = pricing_costs(inst, n, coeffs, duals)
 
-    def rc(mask, posts):
-        return sum(cx[j] * mask[j] + cy[j] * posts[j] for j in range(len(mask))) - sigma
+    def rc(posts):
+        return sum(cx[j] * (posts[j] > 0) + cy[j] * posts[j] for j in range(len(posts))) - sigma
 
     if points is not None:
         best = {}
         for mask, posts in points:
-            if fixings.compatible(make_column(coeffs, n, mask, posts)):
-                best[mask] = min(best.get(mask, math.inf), rc(mask, posts))
+            if fixings.compatible(make_column(coeffs, n, posts)):
+                best[mask] = min(best.get(mask, math.inf), rc(posts))
         ranked = sorted(best.values())
         assert out.reduced_cost == pytest.approx(ranked[0], rel=1e-9, abs=1e-6)
         wanted = [v for v in ranked if v < -RC_TOL][:PRICING_COLUMNS]
-        got = [rc(c.open, c.posts) for c in out.columns]
+        got = [rc(c.posts) for c in out.columns]
         assert got == pytest.approx(wanted, rel=1e-9, abs=1e-6)
     assert len(out.columns) <= PRICING_COLUMNS
-    assert len({c.open for c in out.columns}) == len(out.columns)
+    # one column per open pattern: the cheapest post vector of each
+    assert len({tuple(p > 0 for p in c.posts) for c in out.columns}) == len(out.columns)
     for col in out.columns:
         assert col.node == n and fixings.compatible(col)
-        assert rc(col.open, col.posts) < -RC_TOL
+        assert rc(col.posts) < -RC_TOL
         assert not slice_violations(inst, n, col)
     return out
 
@@ -285,8 +281,8 @@ class TestRmp:
     def test_single_node_picks_cheaper_column(self):
         inst = hand_instance(m_max=2)
         coeffs = cost_coefficients(inst)
-        cheap = make_column(coeffs, 1, (True,), (1,))
-        dear = make_column(coeffs, 1, (True,), (2,))
+        cheap = make_column(coeffs, 1, (1,))
+        dear = make_column(coeffs, 1, (2,))
         rmp = solve_rmp(Master(inst, coeffs, [dear, cheap]), Fixings())
         assert rmp.value == pytest.approx(cheap.cost - coeffs.psi, rel=1e-9)
         assert rmp.penalty == pytest.approx(0.0, abs=1e-9)
@@ -294,8 +290,8 @@ class TestRmp:
     def test_columns_violating_fixings_filtered(self):
         inst = hand_instance(n_locations=2, dist=((0.5, 0.6),), m_max=2)
         coeffs = cost_coefficients(inst)
-        col_a = make_column(coeffs, 1, (True, False), (1, 0))
-        col_b = make_column(coeffs, 1, (False, True), (0, 1))
+        col_a = make_column(coeffs, 1, (1, 0))
+        col_b = make_column(coeffs, 1, (0, 1))
         fixings = Fixings({(1, 0): (0, 0)})
         master = Master(inst, coeffs, [col_a, col_b])
         rmp = solve_rmp(master, fixings)
@@ -307,7 +303,7 @@ class TestRmp:
     def test_artificial_injected_when_pool_emptied(self):
         inst = hand_instance(m_max=1)
         coeffs = cost_coefficients(inst)
-        col = make_column(coeffs, 1, (True,), (1,))
+        col = make_column(coeffs, 1, (1,))
         fixings = Fixings({(1, 0): (0, 0)})
         rmp = solve_rmp(Master(inst, coeffs, [col]), fixings)
         # the node's convexity row is met by its artificial alone
@@ -340,10 +336,10 @@ def reduced_cost(inst, col, duals):
     """A column's reduced cost under master duals, from its pattern alone."""
     n = col.node
     rc = col.cost - duals.sigma[n]
-    for j in range(inst.n_locations):
-        rc -= duals.pi1[n, j] * col.open[j] + duals.pi2[n, j] * col.posts[j]
+    for j, p in enumerate(col.posts):
+        rc -= duals.pi1[n, j] * (p > 0) + duals.pi2[n, j] * p
         for c in inst.children(n):
-            rc += duals.pi1[c, j] * col.open[j] + duals.pi2[c, j] * col.posts[j]
+            rc += duals.pi1[c, j] * (p > 0) + duals.pi2[c, j] * p
     return rc
 
 
@@ -520,7 +516,7 @@ class TestPricing:
         coeffs = cost_coefficients(inst)
         points = enumerate_scenario_points(inst, 1)
         assert points, "oracle found no feasible point"
-        best_cost = min(column_cost(coeffs, 1, mask, posts) for mask, posts in points)
+        best_cost = min(column_cost(coeffs, 1, posts) for _, posts in points)
         duals = RmpDuals(
             pi1={(1, j): 0.0 for j in range(2)},
             pi2={(1, j): 0.0 for j in range(2)},
@@ -616,28 +612,13 @@ class TestPricing:
         out = check_pricing_against_oracles(inst, 1, coeffs, duals, Fixings())
         assert len(out.columns) == PRICING_COLUMNS
 
-    def test_pattern_rates_match_station_rates(self):
-        for seed in range(6):
-            inst = generate(PRESETS["tiny"], seed)
-            masks = np.array(list(itertools.product((0.0, 1.0), repeat=inst.n_locations)))
-            for n in inst.node_ids():
-                rates, covered = pattern_rates(zone_arrays(inst, n), masks)
-                for mask, row, ok in zip(masks, rates, covered):
-                    if not ok:
-                        with pytest.raises(CoverageError):
-                            station_rates(inst, mask > 0, n)
-                        continue
-                    assert list(row) == pytest.approx(station_rates(inst, mask > 0, n),
-                                                      rel=1e-12, abs=0.0)
-
 
 class TestColumnGeneration:
     def test_single_node_full_pool_one_round(self):
         inst = hand_instance(n_locations=2, dist=((0.5, 0.7),), w=(1.0,), bcoef=(0.1,),
                              m_max=2)
         coeffs = cost_coefficients(inst)
-        pool = [make_column(coeffs, 1, mask, posts)
-                for mask, posts in enumerate_scenario_points(inst, 1)]
+        pool = [make_column(coeffs, 1, posts) for _, posts in enumerate_scenario_points(inst, 1)]
         best_cost = min(c.cost for c in pool)
         res = column_generation(Master(inst, coeffs, pool), Fixings())
         assert res.status == "converged"
@@ -691,8 +672,8 @@ class TestPrimalRepair:
     def test_half_half_identical_open_patterns(self):
         inst = hand_instance(m_max=2)
         coeffs = cost_coefficients(inst)
-        col_lo = make_column(coeffs, 1, (True,), (1,))
-        col_hi = make_column(coeffs, 1, (True,), (2,))
+        col_lo = make_column(coeffs, 1, (1,))
+        col_hi = make_column(coeffs, 1, (2,))
         rmp = RmpSolution(
             value=0.0,
             duals=RmpDuals({}, {}, {}),

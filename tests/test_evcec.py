@@ -1,6 +1,8 @@
 import dataclasses
+import itertools
 import math
 
+import numpy as np
 import pytest
 
 from chargeplan import evcec
@@ -15,6 +17,7 @@ from chargeplan.evcec import (
     load_solution,
     logit_probabilities,
     objective_value,
+    pattern_rates,
     save_solution,
     station_rates,
 )
@@ -24,6 +27,7 @@ from chargeplan.instance import (
     PRESETS,
     ScenarioNode,
     Zone,
+    coverage_sets,
     generate,
 )
 from chargeplan.milp import BINARY, solve_mip
@@ -113,6 +117,34 @@ class TestDemandRate:
         dep = Deployment(open={1: (True, True)}, posts={1: (1, 1)})
         assert station_rates(inst, dep.open[1], 1)[0] == pytest.approx(2.0)
         assert station_rates(inst, dep.open[1], 1)[1] == pytest.approx(2.0)
+
+    def test_pattern_rates_match_logit_reference(self):
+        # every open pattern of tiny seeds 0-5 against the formula built
+        # from logit_probabilities: sum_i theta_i (w_i + b_i open_near_i) p_ij
+        for seed in range(6):
+            inst = generate(PRESETS["tiny"], seed)
+            cov = coverage_sets(inst)
+            masks = list(itertools.product((False, True), repeat=inst.n_locations))
+            for n in inst.node_ids():
+                node = inst.node(n)
+                near = [cov.locs_near[n][i] for i in range(inst.n_zones)]
+                rates, covered = pattern_rates(inst, n, np.array(masks, dtype=float))
+                for mask, row, ok in zip(masks, rates, covered):
+                    if not all(any(mask[k] for k in ks) for ks in near):
+                        assert not ok
+                        with pytest.raises(CoverageError):
+                            station_rates(inst, mask, n)
+                        continue
+                    assert ok
+                    want = [0.0] * inst.n_locations
+                    for i, ks in enumerate(near):
+                        load = node.theta[i] * (node.w[i] + node.bcoef[i]
+                                                * sum(mask[k] for k in ks))
+                        for j, p in logit_probabilities(inst, mask, n, i).items():
+                            want[j] += load * p
+                    assert list(row) == pytest.approx(want, rel=1e-12, abs=0.0)
+                    assert station_rates(inst, mask, n) == pytest.approx(want, rel=1e-12,
+                                                                         abs=0.0)
 
 
 class TestBuildSizes:

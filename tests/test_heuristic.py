@@ -1,8 +1,10 @@
+import dataclasses
+import random
 import time
 
 import pytest
 
-from chargeplan.evcec import check_feasible, objective_value, station_rates
+from chargeplan.evcec import check_feasible, min_posts, objective_value, station_rates
 from chargeplan.heuristic import (
     ALL_CRITERIA,
     Criterion,
@@ -10,7 +12,6 @@ from chargeplan.heuristic import (
     best_greedy,
     greedy,
     local_search,
-    min_posts,
 )
 from chargeplan.instance import (
     Instance,
@@ -19,8 +20,9 @@ from chargeplan.instance import (
     ScenarioNode,
     Zone,
     generate,
+    rho_table_for,
 )
-from chargeplan.queueing import QueueConfig, rho_alpha_table
+from chargeplan.queueing import QueueConfig
 
 
 def make_instance(n_locations, w, bcoef, m_max=2, mu=4.0, costs=None, dist_row=None):
@@ -44,23 +46,54 @@ def make_instance(n_locations, w, bcoef, m_max=2, mu=4.0, costs=None, dist_row=N
     )
 
 
+def posts_by_loop(inst, rate, m_max, floor):
+    """Reference post sizing: the first k in [max(1, floor), m_max] with
+    mu * rho_k >= rate, None when no count fits."""
+    rho = rho_table_for(inst)
+    for k in range(max(1, floor), m_max + 1):
+        if inst.queue.mu * rho.cap(k) >= rate:
+            return k
+    return None
+
+
 class TestMinPosts:
     def test_first_threshold_suffices(self):
-        rho = rho_alpha_table(2, 0, 0.9)
         # 4 * 0.316228 = 1.2649 >= 1.2
-        assert min_posts(1.2, 4.0, rho, m_max=2, floor_k=0) == 1
+        assert min_posts(make_instance(1, w=1.0, bcoef=0.0), [1.2]).tolist() == [1]
 
     def test_zero_demand_still_one_post(self):
-        rho = rho_alpha_table(2, 0, 0.9)
-        assert min_posts(0.0, 4.0, rho, m_max=2, floor_k=0) == 1
+        assert min_posts(make_instance(1, w=1.0, bcoef=0.0), [0.0]).tolist() == [1]
 
     def test_capacity_exhausted(self):
-        rho = rho_alpha_table(2, 0, 0.9)
-        assert min_posts(100.0, 4.0, rho, m_max=2, floor_k=0) is None
+        # no count up to the largest (2) fits: one past it
+        assert min_posts(make_instance(1, w=1.0, bcoef=0.0), [100.0]).tolist() == [3]
 
     def test_floor_respected(self):
-        rho = rho_alpha_table(4, 0, 0.9)
-        assert min_posts(0.1, 4.0, rho, m_max=4, floor_k=3) == 3
+        # one post absorbs the demand, but the initial station keeps its 3
+        inst = dataclasses.replace(make_instance(1, w=0.1, bcoef=0.0, m_max=4),
+                                   locations=(Location(id=0, m_max=4, x0=True, y0=3),))
+        assert min_posts(inst, [0.1]).tolist() == [1]
+        assert greedy(inst, Criterion.MOST_ZONES).posts[1] == (3,)
+
+    def test_greedy_sizing_matches_plain_loop(self):
+        # the greedy's rule, min_posts raised to the parent's count and
+        # rejected above the location's cap, against a loop over k
+        rng = random.Random(17)
+        raised = no_fit = 0
+        for _ in range(300):
+            inst = make_instance(1, w=1.0, bcoef=0.0, m_max=rng.randint(1, 5),
+                                 mu=rng.uniform(0.5, 5.0))
+            caps = [inst.queue.mu * v for v in rho_table_for(inst).values]
+            rates = [rng.uniform(0.0, 1.2 * caps[-1]), rng.choice(caps)]
+            for rate, k in zip(rates, min_posts(inst, rates).tolist()):
+                m_max = rng.randint(1, len(caps))
+                floor = rng.randint(0, m_max)
+                want = posts_by_loop(inst, rate, m_max, floor)
+                got = max(k, floor)
+                assert (got if got <= m_max else None) == want
+                raised += want is not None and want > k
+                no_fit += want is None
+        assert raised >= 50 and no_fit >= 50
 
 
 class TestGreedy:
@@ -71,8 +104,7 @@ class TestGreedy:
         assert sum(dep.open[1]) == 1
         j = dep.open[1].index(True)
         lam = station_rates(inst, dep.open[1], 1)[j]
-        rho = rho_alpha_table(2, 0, 0.9)
-        assert dep.posts[1][j] == min_posts(lam, 4.0, rho, 2, 0)
+        assert dep.posts[1][j] == posts_by_loop(inst, lam, 2, 0) == 1
         assert check_feasible(inst, dep).feasible
 
     def test_spillover_opens_second_station(self):

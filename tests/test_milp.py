@@ -970,8 +970,39 @@ class TestCarriedInverse:
         assert len(root) == 1 and root[0].refactors >= 1
         assert len(warm) >= 10
         assert sum(s.refactors == 0 for s in warm) > 0.8 * len(warm)
-        assert all(s.refactors >= 1 for basis, s in calls
-                   if basis is not None and basis.inverse is None)
+        # an older node is inverted before its children are solved
+        assert all(basis is None or basis.inverse is not None for basis, _ in calls)
+
+    def test_children_of_an_older_node_share_one_inversion(self, monkeypatch):
+        # a node popped after its inverse was dropped is inverted once, when
+        # it is expanded, and both children start from that inverse
+        solve, invert = milp.solve_lp, milp._invert
+        calls, in_solve, expanded = [], [], []
+
+        def recorded(model, overrides=None, basis=None):
+            in_solve.append(True)
+            try:
+                calls.append((basis, solve(model, overrides, basis)))
+            finally:
+                in_solve.pop()
+            return calls[-1][1]
+
+        def counted(std, head):
+            inverse = invert(std, head)
+            if not in_solve:
+                expanded.append(inverse)
+            return inverse
+
+        monkeypatch.setattr(milp, "solve_lp", recorded)
+        monkeypatch.setattr(milp, "_invert", counted)
+        sol = solve_mip(build_evcec(with_queue(generate(PRESETS["tiny"], 3), b=0)).model)
+        assert sol.status == "optimal"
+        assert len(expanded) >= 2
+        for inverse in expanded:
+            children = [s for basis, s in calls
+                        if basis is not None and basis.inverse is inverse]
+            assert len(children) == 2
+            assert sum(s.refactors for s in children) == 0
 
     def test_branch_and_bound_keeps_few_inverses(self, monkeypatch):
         seen = count_live_inverses(monkeypatch, milp)
