@@ -9,9 +9,10 @@ coefficients so that summing chosen column costs minus the initial-state
 rebate reproduces the original expected cost exactly.
 
 One master (``Master``) serves the whole search.  It is built once, with its
-linking rows, their penalty slacks and the convexity rows, and each round only
-appends the new lambda columns; the LP kernel extends its standard form in
-place.  Every solve warm-starts from the last basis and its inverse: the
+linking rows and convexity rows, and each round only appends the new lambda
+columns; the LP kernel extends its standard form in place.  The lambdas are
+its only variables, so it is infeasible until its columns can meet every
+row.  Every solve warm-starts from the last basis and its inverse: the
 previous round's within a node, the parent's final basis at a new branch node
 (inverted again if other nodes were expanded in between).  A new lambda is
 boxed in [0, 1], so its negative reduced cost is repaired by a bound flip and
@@ -25,8 +26,11 @@ evaluator of an open pattern (``pattern_rates`` and ``min_posts``, which the
 greedy uses too), so ``solve_pricing`` enumerates the node's free open flags
 in vectorised blocks and returns the best few columns.  A column is a node's
 post vector; its open flags are the stations with a post (row 3h).  Every
-complete round gives a valid Lagrangian bound, and a node's bound is the best
-of its rounds.
+complete round on a feasible master gives a valid Lagrangian bound, and a
+node's bound is the best of its rounds.  An infeasible master returns the
+kernel's Farkas ray instead of duals, and the same closed form prices it
+with zero column costs (Farkas pricing): the columns that cut the ray go in,
+and when no node has one the branch node is infeasible.
 
 Branching splits the post count of one (node, location) into posts <= split
 and posts >= split + 1.  A station is open exactly when it has a post (row
@@ -41,7 +45,8 @@ The tree search is ``milp.best_first``, the same search branch and bound
 uses; ``branch_and_price`` only supplies the node expansion.  A node whose
 column generation stops at a limit without branching (or a root-only cut)
 hands its best Lagrangian bound to the search as the floor of its unsearched
-subtree.  Plans come from one source: the greedy plus local search at the
+subtree, or its parent's bound when the limit came before the master was
+feasible.  Plans come from one source: the greedy plus local search at the
 start, and at each node the primal repair of the master and its decoded
 aggregate.  Every plan passes ``check_feasible`` before it counts.
 """
@@ -63,9 +68,8 @@ from .heuristic import (
     local_search,
 )
 from .instance import Instance
-from .milp import EQ, GE, INF, LpBasis, Model, best_first, solve_lp
+from .milp import EQ, GE, LpBasis, Model, best_first, solve_lp
 
-PENALTY_COST = 1e7   # linking-row slack and convexity-row artificial price
 RC_TOL = 1e-6        # a column must beat its convexity dual by this much
 INT_TOL = 1e-6
 PRICING_COLUMNS = 20  # columns a node may add per round, best first
@@ -109,8 +113,7 @@ class RmpSolution:
     value: float
     duals: RmpDuals
     node_columns: dict      # n -> the node's columns the fixings allow
-    lambdas: dict           # n -> their lambda values
-    penalty: float          # total value of the slacks and artificials
+    lambdas: dict           # n -> their lambda values (0 while the master is infeasible)
     basis: LpBasis | None = None
     pivots: int = 0
 
@@ -243,11 +246,11 @@ class Master:
     """The restricted master of one branch-and-price search, built once.
 
     A >= linking row per (node, location) for the open flags and one for the
-    post counts, each with a slack priced at PENALTY_COST, and an equality
-    convexity row per node with an artificial in [0, 1] priced the same, so
-    the master is feasible whatever columns the fixings leave.  ``add``
-    appends one lambda in [0, 1] per new column and never rebuilds: existing
-    variable ids and any ``LpBasis`` of the master stay valid.
+    post counts, and an equality convexity row per node; its only variables
+    are the lambdas, one in [0, 1] per column.  With too few columns it is
+    infeasible, and column generation then prices its Farkas ray.  ``add``
+    appends the lambdas of new columns and never rebuilds: existing variable
+    ids and any ``LpBasis`` of the master stay valid.
     """
 
     def __init__(self, inst: Instance, coeffs: CostCoeffs, columns=()):
@@ -255,32 +258,20 @@ class Master:
         self.model = Model("rmp")
         self.columns: list[Column] = []
         self.lam: list[int] = []       # lambda variable id of each column
-        self.penalized: list[int] = []  # slacks and artificials
-        self.artificial: dict[int, int] = {}
         self.row_open, self.row_posts, self.row_conv = {}, {}, {}
         self._keys = set()
         for n in inst.node_ids():
             root = inst.node(n).parent is None
             for j, loc in enumerate(inst.locations):
-                slack = self._penalized(f"pen_x[{n},{j}]", INF)
                 self.row_open[n, j] = self.model.add_constraint(
-                    [(slack, 1.0)], GE, float(loc.x0) if root else 0.0, name=f"link_x[{n},{j}]")
+                    [], GE, float(loc.x0) if root else 0.0, name=f"link_x[{n},{j}]")
             for j, loc in enumerate(inst.locations):
-                slack = self._penalized(f"pen_p[{n},{j}]", INF)
                 self.row_posts[n, j] = self.model.add_constraint(
-                    [(slack, 1.0)], GE, float(loc.y0) if root else 0.0, name=f"link_p[{n},{j}]")
+                    [], GE, float(loc.y0) if root else 0.0, name=f"link_p[{n},{j}]")
         for n in inst.node_ids():
-            self.artificial[n] = self._penalized(f"art[{n}]", 1.0)
-            self.row_conv[n] = self.model.add_constraint([(self.artificial[n], 1.0)], EQ, 1.0,
-                                                         name=f"conv[{n}]")
-        self.model.set_objective([(v, PENALTY_COST) for v in self.penalized],
-                                 offset=-coeffs.psi)
+            self.row_conv[n] = self.model.add_constraint([], EQ, 1.0, name=f"conv[{n}]")
+        self.model.set_objective([], offset=-coeffs.psi)
         self.add(columns)
-
-    def _penalized(self, name: str, upper: float) -> int:
-        vid = self.model.add_var(lower=0.0, upper=upper, name=name)
-        self.penalized.append(vid)
-        return vid
 
     def _entries(self, col: Column) -> list:
         """(row, coeff) of a column's lambda: its node's rows, minus its
@@ -316,23 +307,25 @@ def solve_rmp(master: Master, fixings: Fixings, basis: LpBasis | None = None) ->
     ``basis``.  A column the fixings rule out keeps its lambda at 0 through a
     bound override, so the model never changes shape for a branch.
 
-    A lambda can rest at its upper bound 1 with a negative reduced cost; that
-    bound is implied by the convexity row, so its dual moves onto sigma, and
-    every column the fixings allow prices at >= 0 under the duals returned.
+    An infeasible master has value inf, and its duals are the kernel's Farkas
+    ray: a column cuts the ray when it prices below 0 with zero column costs.
+    Either way a lambda can rest at its upper bound 1 with a negative reduced
+    cost; that bound is implied by the convexity row, so its dual moves onto
+    sigma, and every column the fixings allow prices at >= 0 under the duals
+    returned.  The shifted ray stays a certificate of infeasibility for
+    lambda >= 0.
     """
     allowed = [fixings.compatible(c) for c in master.columns]
     sol = solve_lp(master.model,
                    {v: (0.0, 0.0) for v, ok in zip(master.lam, allowed) if not ok}, basis)
-    if sol.status != "optimal":
-        raise RuntimeError(f"master LP must stay feasible and bounded, got {sol.status}")
     y, d = sol.duals, sol.reduced_costs
     node_columns = {n: [] for n in master.inst.node_ids()}
     lambdas = {n: [] for n in master.inst.node_ids()}
-    least = {n: min(0.0, d[v]) for n, v in master.artificial.items()}
+    least = dict.fromkeys(master.inst.node_ids(), 0.0)
     for col, vid, ok in zip(master.columns, master.lam, allowed):
         if ok:
             node_columns[col.node].append(col)
-            lambdas[col.node].append(sol.values[vid])
+            lambdas[col.node].append(sol.values.get(vid, 0.0))
             least[col.node] = min(least[col.node], d[vid])
     duals = RmpDuals(
         pi1={k: max(0.0, y[r]) for k, r in master.row_open.items()},
@@ -344,7 +337,6 @@ def solve_rmp(master: Master, fixings: Fixings, basis: LpBasis | None = None) ->
         duals=duals,
         node_columns=node_columns,
         lambdas=lambdas,
-        penalty=sum(sol.values[v] for v in master.penalized),
         basis=sol.basis,
         pivots=sol.pivots,
     )
@@ -362,7 +354,7 @@ class PricingOutcome:
 
 
 def solve_pricing(inst: Instance, n: int, coeffs: CostCoeffs, duals: RmpDuals,
-                  fixings: Fixings) -> PricingOutcome:
+                  fixings: Fixings, farkas: bool = False) -> PricingOutcome:
     """Price one node exactly by enumerating its free open flags x.
 
     For a fixed x the arrival rates are closed form (``evcec.pattern_rates``),
@@ -375,15 +367,18 @@ def solve_pricing(inst: Instance, n: int, coeffs: CostCoeffs, duals: RmpDuals,
     (the decided open flags at congestion-free cost plus the undecided ones'
     negative parts) until no block can improve the result.
     Returns the PRICING_COLUMNS best columns with rc < -RC_TOL, ties by
-    pattern index.
+    pattern index.  With ``farkas`` the reduced costs take zero column costs,
+    so ``duals`` can be an infeasible master's Farkas ray and the columns
+    returned are those that cut it; they still carry their true costs.
     """
     nloc = inst.n_locations
     kids = inst.children(n)
     sigma = duals.sigma[n]
-    cx = np.array([coeffs.c1[n, j] - duals.pi1[n, j] + sum(duals.pi1[c, j] for c in kids)
-                   for j in range(nloc)])
-    cy = np.array([coeffs.c2[n, j] - duals.pi2[n, j] + sum(duals.pi2[c, j] for c in kids)
-                   for j in range(nloc)])
+    weight = 0.0 if farkas else 1.0
+    cx = np.array([weight * coeffs.c1[n, j] - duals.pi1[n, j]
+                   + sum(duals.pi1[c, j] for c in kids) for j in range(nloc)])
+    cy = np.array([weight * coeffs.c2[n, j] - duals.pi2[n, j]
+                   + sum(duals.pi2[c, j] for c in kids) for j in range(nloc)])
     interval = [fixings.posts.get((n, j), (0, math.inf)) for j in range(nloc)]
     lo_fix = np.array([max(1, lo) for lo, _ in interval])
     hi_fix = np.array([min(loc.m_max, hi) for loc, (_, hi) in zip(inst.locations, interval)])
@@ -446,10 +441,14 @@ def column_generation(master: Master, fixings: Fixings, limits: BpLimits | None 
 
     The first round re-solves the master from ``basis`` (the parent node's
     final basis), each later round from the round before, after appending
-    the columns pricing found.  Pricing is exact, so each round gives a
-    Lagrangian bound and ``lagrangian_lb`` is the best of them.  The deadline
-    is checked between node pricings; a round it cuts short adds no bound and
-    no column.  Every round solves the master once and is logged.
+    the columns pricing found.  While the master is infeasible, a round is a
+    Farkas round: it prices the master's Farkas ray with zero column costs,
+    adds the columns that cut it and gives no bound; when no node yields
+    one, the node is infeasible.  Once the master is feasible, pricing is
+    exact, so each round gives a Lagrangian bound and ``lagrangian_lb`` is
+    the best of them.  The deadline is checked between node pricings; a
+    round it cuts short adds no bound and no column.  Every round solves the
+    master once and is logged.
     """
     inst, coeffs = master.inst, master.coeffs
     limits = limits or BpLimits()
@@ -463,6 +462,7 @@ def column_generation(master: Master, fixings: Fixings, limits: BpLimits | None 
         rmp = solve_rmp(master, fixings, basis)
         t1 = time.perf_counter()
         basis = rmp.basis
+        farkas = rmp.value == math.inf
         node_rcs = {}
         found = []
         stop = None
@@ -470,7 +470,7 @@ def column_generation(master: Master, fixings: Fixings, limits: BpLimits | None 
             if deadline is not None and time.monotonic() > deadline:
                 stop = "limit"
                 break
-            outcome = solve_pricing(inst, n, coeffs, rmp.duals, fixings)
+            outcome = solve_pricing(inst, n, coeffs, rmp.duals, fixings, farkas)
             node_rcs[n] = outcome.reduced_cost
             if outcome.status == "infeasible":
                 stop = "infeasible"
@@ -482,15 +482,17 @@ def column_generation(master: Master, fixings: Fixings, limits: BpLimits | None 
         lb_round = -math.inf
         if stop is None:
             added = master.add(found)
-            lb_round = rmp.value + sum(min(0.0, rc) for rc in node_rcs.values())
-            best_lb = max(best_lb, lb_round)
+            if not farkas:
+                lb_round = rmp.value + sum(min(0.0, rc) for rc in node_rcs.values())
+                best_lb = max(best_lb, lb_round)
+            elif not added:
+                stop = "infeasible"   # no column cuts the ray
         iterations.append(
             {
                 "round": round_no,
                 "rmp_value": rmp.value,
                 "lagrangian_lb": lb_round,
                 "columns_added": len(added),
-                "penalty": rmp.penalty,
                 "pivots": rmp.pivots,
                 "reduced_costs": node_rcs,
             }
@@ -652,6 +654,8 @@ def branch_and_price(inst: Instance, limits: BpLimits | None = None) -> BpResult
             node_lb = max(node_lb, cg.rmp.value)
         if node_lb >= best - 1e-9:
             return [], [], math.inf
+        if cg.rmp.value == math.inf:   # a limit stopped the Farkas rounds
+            return [], [], node_lb
         plans = audited(primal_repair(inst, cg.rmp))
         choice = _select_branching(inst, cg.rmp)
         if choice is None:

@@ -36,6 +36,8 @@ from .instance import (
 )
 from .milp import BINARY, CONTINUOUS, EQ, GE, INF, LE, Model
 
+CAPACITY_TOL = 1e-6   # a rate may exceed its threshold capacity by this much (row 3b)
+
 
 class CoverageError(ValueError):
     """A zone has no open covering station where one is required."""
@@ -131,10 +133,11 @@ def station_rates(inst: Instance, open_flags, n: int) -> tuple[float, ...]:
 
 def min_posts(inst: Instance, rates) -> np.ndarray:
     """The fewest posts whose threshold capacity mu * rho_k absorbs each
-    rate: the first k with mu * rho_k >= rate, or one more than the largest
-    tabulated count when none does."""
+    rate: the first k with mu * rho_k + CAPACITY_TOL >= rate, the rule the
+    audit applies, or one more than the largest tabulated count when none
+    does."""
     caps = inst.queue.mu * np.array(rho_table_for(inst).values)
-    return np.searchsorted(caps, rates) + 1
+    return np.searchsorted(caps + CAPACITY_TOL, rates) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +344,8 @@ def objective_value(inst: Instance, dep: Deployment) -> float:
     return total
 
 
-def check_feasible(inst: Instance, dep: Deployment, tol: float = 1e-6) -> FeasibilityReport:
+def check_feasible(inst: Instance, dep: Deployment,
+                   tol: float = CAPACITY_TOL) -> FeasibilityReport:
     """Audit a deployment against every constraint family on closed formulas.
 
     The logit balance and linearization rows (3d-3g) hold identically once

@@ -23,6 +23,12 @@ adapted in later without touching callers.
 
 Dual sign convention for minimization: duals are shadow prices d(objective)/
 d(rhs), so >= rows get nonnegative duals, <= rows nonpositive, = rows free.
+An infeasible LP gets a Farkas ray in the same places: the dual simplex
+stops on a leaving row that no column can repair, and that row of the basis
+inverse, signed so the dual objective rises along it, is the ray y.  Its
+signs follow the same convention, and y.(A x - r) < 0 for every x within the
+variable bounds and every row activity r the senses allow, so no x meets the
+rows.  The reduced costs -y.A_j are those of the problem with zero costs.
 """
 
 from __future__ import annotations
@@ -186,12 +192,19 @@ class Model:
 
 @dataclass
 class LpSolution:
+    """One LP solve.  When optimal, ``duals`` and ``reduced_costs`` are the
+    optimal duals y and c_j - y.A_j.  When infeasible, they are a Farkas ray
+    y and the zero-cost reduced costs -y.A_j (see the module docstring), and
+    ``basis`` is the basis the proof ended on, for a warm start once the
+    model has changed; bound overrides that cross are infeasible with
+    neither ray nor basis."""
+
     status: str                    # optimal | infeasible | unbounded
     values: dict[int, float]
     objective: float
     duals: dict[int, float]
     reduced_costs: dict[int, float]
-    basis: LpBasis | None = None   # final basis of an optimal solve, for warm starts
+    basis: LpBasis | None = None   # final basis, for warm starts
     pivots: int = 0                # basis changes the dual simplex made, phase 1 included
     refactors: int = 0             # basis inversions, phase 1 and restarts included
 
@@ -444,7 +457,8 @@ class _DualSimplex:
     def run(self, stall_pivots: int | None = None) -> str:
         """Dual phase 2 from a dual feasible basis: 'optimal' once the basis
         is primal feasible with x, y and d recomputed and checked by
-        ``settle``, 'infeasible' on an unbounded dual ray, 'stalled' after
+        ``settle``, 'infeasible' on an unbounded dual ray (the signed pivot
+        row alpha it leaves in ``ray``: y on the logicals), 'stalled' after
         ``stall_pivots`` pivots in a row that barely move the dual (dual
         degeneracy)."""
         std = self.std
@@ -470,7 +484,7 @@ class _DualSimplex:
             alpha = np.empty(n + std.m)
             alpha[:n] = rho @ A
             alpha[n:] = rho
-            a = -alpha if to_lower else alpha
+            a = self.ray = -alpha if to_lower else alpha
             at_lo = ~self.at_up & self.finite_lo
             cand = np.flatnonzero(
                 (self.pos < 0) & self.movable
@@ -654,20 +668,18 @@ def solve_lp(model: Model, overrides: dict[int, tuple[float, float]] | None = No
         pivots, refactors = pivots + sim.pivots, refactors + sim.refactors
         if status == "optimal":
             return LpSolution("unbounded", {}, -INF, {}, {}, pivots=pivots, refactors=refactors)
-    if status != "optimal":
-        return LpSolution("infeasible", {}, INF, {}, {}, pivots=pivots, refactors=refactors)
-    x = sim.x[:n]
-    return LpSolution(
-        status="optimal",
-        values=dict(enumerate(x.tolist())),
-        objective=float(std.c[:n] @ x + std.offset),
-        duals=dict(enumerate(sim.y.tolist())),
-        reduced_costs=dict(enumerate(sim.d[:n].tolist())),
-        basis=LpBasis(sim.head, np.flatnonzero(sim.at_up & (sim.pos < 0)), n,
-                      sim.binv, sim.updates),
-        pivots=pivots,
-        refactors=refactors,
-    )
+    if status == "optimal":
+        x = sim.x[:n]
+        values, objective = dict(enumerate(x.tolist())), float(std.c[:n] @ x + std.offset)
+        y, d = sim.y, sim.d[:n]
+    else:
+        values, objective = {}, INF
+        y, d = sim.ray[n:], -sim.ray[:n]
+    return LpSolution(status, values, objective, dict(enumerate(y.tolist())),
+                      dict(enumerate(d.tolist())),
+                      LpBasis(sim.head, np.flatnonzero(sim.at_up & (sim.pos < 0)), n,
+                              sim.binv, sim.updates),
+                      pivots, refactors)
 
 
 # ---------------------------------------------------------------------------

@@ -173,8 +173,9 @@ def render_cg_log(stats: dict) -> str:
     its depth, the open flags its branching decides and the (node, location)
     post intervals it narrows below [0, m_max], then one line per
     column-generation round with the master's simplex pivots and the
-    per-node reduced costs.  Wall times stay out, so the text is the same
-    on every run."""
+    per-node reduced costs.  A Farkas round, priced while the master is
+    infeasible, shows ``rmp=infeasible lb=-`` and the reduced costs of its
+    ray.  Wall times stay out, so the text is the same on every run."""
     lines = []
     for entry in stats.get("log", []):
         lines.append(
@@ -187,10 +188,11 @@ def render_cg_log(stats: dict) -> str:
                 f"{n}:{rc:.4g}"
                 for n, rc in sorted(rec.get("reduced_costs", {}).items())
             )
-            lb = rec["lagrangian_lb"]
+            lb, value = rec["lagrangian_lb"], rec["rmp_value"]
             lb_txt = f"{lb:.6g}" if lb > -math.inf else "-"
+            value_txt = f"{value:.6g}" if value < math.inf else "infeasible"
             lines.append(
-                f"  round {rec['round']:3d}  rmp={rec['rmp_value']:.6g}  "
+                f"  round {rec['round']:3d}  rmp={value_txt}  "
                 f"lb={lb_txt}  piv={rec['pivots']}  "
                 f"cols+{rec['columns_added']}  rc[{rcs}]"
             )

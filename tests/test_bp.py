@@ -8,7 +8,6 @@ import pytest
 
 from chargeplan import bp, milp
 from chargeplan.bp import (
-    PENALTY_COST,
     PRICING_COLUMNS,
     RC_TOL,
     BpLimits,
@@ -81,6 +80,25 @@ def chain_instance(costs=1.0, n_locations=1, w=0.5, m_max=1):
         ),
         dist=(tuple(0.5 for _ in range(n_locations)),),
         tree=tuple(nodes),
+        queue=QueueConfig(mu=4.0, alpha=0.9, b=0),
+    )
+
+
+def linking_infeasible_chain():
+    """Two nodes that each have plans, joined infeasibly: the root's zone is
+    covered only by the one-post location, which must stay open at the
+    child, where its share of the child's larger demand overflows it."""
+    def node(nid, parent, radius, w):
+        return ScenarioNode(id=nid, parent=parent, prob=1.0, w=(w,), bcoef=(0.2,), theta=(1.0,),
+                            radius=(radius,), cost_build=(10.0, 10.0), cost_post=(1.0, 1.0),
+                            cost_op_station=(1.0, 1.0), cost_op_post=(1.0, 1.0))
+
+    return Instance(
+        zones=(Zone(id=0, a=0.5),),
+        locations=(Location(id=0, m_max=1, x0=False, y0=0),
+                   Location(id=1, m_max=6, x0=False, y0=0)),
+        dist=((1.0, 3.0),),
+        tree=(node(1, None, 2.0, 0.5), node(2, 1, 4.0, 3.0)),
         queue=QueueConfig(mu=4.0, alpha=0.9, b=0),
     )
 
@@ -285,7 +303,6 @@ class TestRmp:
         dear = make_column(coeffs, 1, (2,))
         rmp = solve_rmp(Master(inst, coeffs, [dear, cheap]), Fixings())
         assert rmp.value == pytest.approx(cheap.cost - coeffs.psi, rel=1e-9)
-        assert rmp.penalty == pytest.approx(0.0, abs=1e-9)
 
     def test_columns_violating_fixings_filtered(self):
         inst = hand_instance(n_locations=2, dist=((0.5, 0.6),), m_max=2)
@@ -300,16 +317,29 @@ class TestRmp:
         assert master.columns == [col_a, col_b]
         assert solve_rmp(master, Fixings()).node_columns[1] == [col_a, col_b]
 
-    def test_artificial_injected_when_pool_emptied(self):
-        inst = hand_instance(m_max=1)
-        coeffs = cost_coefficients(inst)
-        col = make_column(coeffs, 1, (1,))
-        fixings = Fixings({(1, 0): (0, 0)})
-        rmp = solve_rmp(Master(inst, coeffs, [col]), fixings)
-        # the node's convexity row is met by its artificial alone
-        assert rmp.node_columns[1] == []
-        assert rmp.penalty >= 1.0 - 1e-9
-        assert rmp.value >= PENALTY_COST - coeffs.psi
+    def test_emptied_pool_gives_a_farkas_ray(self):
+        # fixings that rule out every column of a node leave the master
+        # infeasible; its ray certifies that, and column generation either
+        # restores feasibility with the columns that cut the ray (a second
+        # location remains) or proves the node infeasible (none does)
+        for n_locations, dist, status in ((2, ((0.5, 0.6),), "converged"),
+                                          (1, None, "infeasible")):
+            inst = hand_instance(n_locations=n_locations, dist=dist, m_max=1)
+            coeffs = cost_coefficients(inst)
+            posts = (1,) + (0,) * (n_locations - 1)
+            master = Master(inst, coeffs, [make_column(coeffs, 1, posts)])
+            fixings = Fixings({(1, 0): (0, 0)})
+            rmp = solve_rmp(master, fixings)
+            assert rmp.node_columns[1] == [] and rmp.value == math.inf
+            assert_ray_certifies(master, fixings, rmp)
+            cg = column_generation(master, fixings)
+            assert cg.status == status
+            assert cg.iterations[0]["rmp_value"] == math.inf
+            assert cg.iterations[0]["lagrangian_lb"] == -math.inf
+            if status == "converged":
+                assert all(fixings.compatible(c) for c in cg.new_columns)
+                assert cg.rmp.value < math.inf and cg.lagrangian_lb > -math.inf
+            assert master.model.num_vars == len(master.columns)
 
     def test_value_nonincreasing_as_columns_arrive(self):
         inst = generate(PRESETS["tiny"], 9)
@@ -332,10 +362,11 @@ class TestRmp:
         assert all(v >= 0.0 for v in rmp.duals.pi2.values())
 
 
-def reduced_cost(inst, col, duals):
-    """A column's reduced cost under master duals, from its pattern alone."""
+def reduced_cost(inst, col, duals, cost=None):
+    """A column's reduced cost under master duals, from its pattern alone;
+    ``cost`` replaces the column's own cost (0 prices a Farkas ray)."""
     n = col.node
-    rc = col.cost - duals.sigma[n]
+    rc = (col.cost if cost is None else cost) - duals.sigma[n]
     for j, p in enumerate(col.posts):
         rc -= duals.pi1[n, j] * (p > 0) + duals.pi2[n, j] * p
         for c in inst.children(n):
@@ -343,32 +374,59 @@ def reduced_cost(inst, col, duals):
     return rc
 
 
+def assert_ray_certifies(master, fixings, rmp):
+    """An infeasible master's duals are a Farkas ray y for lambda >= 0: y.b
+    is clearly positive (at least 0.5 on these integral rows) and no column
+    the fixings allow prices below 0 with zero column costs, so no lambda >=
+    0 meets the rows."""
+    inst, duals = master.inst, rmp.duals
+    yb = sum(duals.sigma.values()) + sum(
+        duals.pi1[root, j] * loc.x0 + duals.pi2[root, j] * loc.y0
+        for root in inst.node_ids() if inst.node(root).parent is None
+        for j, loc in enumerate(inst.locations))
+    assert yb >= 0.5
+    for col in master.columns:
+        if fixings.compatible(col):
+            assert reduced_cost(inst, col, duals, cost=0.0) >= -1e-12
+
+
 class TestPersistentMaster:
     def test_matches_cold_master_every_round_and_branch(self, monkeypatch):
         # the one master, grown round by round and re-solved warm under
         # bound-override fixings, against a master built cold from the same
         # compatible columns, through column generation along random
-        # branching sequences that start from the parent's final basis
+        # branching sequences that start from the parent's final basis; a
+        # branch often leaves the master infeasible, and then both rays must
+        # certify it
         solve = bp.solve_rmp
-        checked = branched = 0
+        checked = branched = infeasible = 0
 
         def differential(master, fixings, basis=None):
-            nonlocal checked, branched
+            nonlocal checked, branched, infeasible
             rmp = solve(master, fixings, basis)
             allowed = [c for c in master.columns if fixings.compatible(c)]
-            cold = solve(Master(master.inst, master.coeffs, allowed), fixings)
-            assert rmp.value == pytest.approx(cold.value, rel=1e-9, abs=1e-9)
+            cold_master = Master(master.inst, master.coeffs, allowed)
+            cold = solve(cold_master, fixings)
             assert [c.key() for cols in rmp.node_columns.values() for c in cols] == \
                 [c.key() for n in master.inst.node_ids() for c in allowed if c.node == n]
-            for col in allowed:
-                assert reduced_cost(master.inst, col, rmp.duals) >= -1e-6
+            if rmp.value == math.inf:
+                # an infeasible master: both rays certify it
+                assert cold.value == math.inf
+                assert_ray_certifies(master, fixings, rmp)
+                assert_ray_certifies(cold_master, fixings, cold)
+                infeasible += 1
+            else:
+                assert rmp.value == pytest.approx(cold.value, rel=1e-9, abs=1e-9)
+                for col in allowed:
+                    assert reduced_cost(master.inst, col, rmp.duals) >= -1e-6
             checked += 1
             branched += bool(fixings.posts)
             return rmp
 
         monkeypatch.setattr(bp, "solve_rmp", differential)
         rng = random.Random(11)
-        for seed, b in ((3, 0), (10, 1), (5, 2), (9, 2), (0, 1), (13, 0), (46, 0), (7, 2)):
+        for seed, b in ((3, 0), (10, 1), (5, 2), (9, 2), (0, 1), (13, 0), (46, 0), (7, 2),
+                        (1, 1), (2, 0), (4, 2), (6, 1)):
             inst = with_queue(generate(PRESETS["tiny"], seed), b=b)
             coeffs = cost_coefficients(inst)
             master = Master(inst, coeffs, columns_from_deployment(
@@ -385,7 +443,7 @@ class TestPersistentMaster:
                 if not kids:
                     break
                 fixings, basis = rng.choice(kids), cg.rmp.basis
-        assert checked >= 50 and branched >= 30
+        assert checked >= 50 and branched >= 30 and infeasible >= 10
 
     def test_real_stalls_keep_the_root_master(self, monkeypatch):
         # with a stall threshold of one degenerate pivot, the detector fires
@@ -679,7 +737,6 @@ class TestPrimalRepair:
             duals=RmpDuals({}, {}, {}),
             node_columns={1: [col_lo, col_hi]},
             lambdas={1: [0.5, 0.5]},
-            penalty=0.0,
         )
         repaired = primal_repair(inst, rmp)
         assert repaired is not None
@@ -735,6 +792,53 @@ class TestBranchAndPrice:
             assert -math.inf < res.bound <= opt + 1e-6 * abs(opt), cell
             assert res.status == "feasible" and res.gap > 0.0, cell
             assert check_feasible(inst, res.incumbent).feasible, cell
+
+    def test_linking_infeasible_chain_is_proven_infeasible(self):
+        # every node prices a column on its own, so only the linking rows
+        # make the instance infeasible; Farkas rounds prove it at the root
+        inst = linking_infeasible_chain()
+        coeffs = cost_coefficients(inst)
+        zero = RmpDuals(pi1=dict.fromkeys(coeffs.c1, 0.0), pi2=dict.fromkeys(coeffs.c2, 0.0),
+                        sigma={1: 1e6, 2: 1e6})
+        for n in inst.node_ids():
+            assert solve_pricing(inst, n, coeffs, zero, Fixings()).status == "optimal"
+        assert solve_mip(build_evcec(inst).model).status == "infeasible"
+        res = branch_and_price(inst)
+        assert (res.status, res.incumbent, res.z, res.bound) == \
+            ("infeasible", None, math.inf, math.inf)
+        assert [entry["status"] for entry in res.stats["log"]] == ["infeasible"]
+        rounds = res.stats["log"][0]["cg"]
+        assert all(rec["rmp_value"] == math.inf for rec in rounds)
+        assert rounds[-1]["columns_added"] == 0
+        assert "rmp=infeasible  lb=-" in render_cg_log(res.stats)
+
+    def test_threshold_at_capacity_matches_mip(self):
+        # tiny seed 0 at target load 1.0: with every station open at node 2,
+        # station 0 takes a rate 4.4e-16 above mu * rho_3, which the audit
+        # accepts with 3 posts; sizing by the same rule keeps the greedy and
+        # pricing from calling the instance infeasible
+        inst = generate(dataclasses.replace(PRESETS["tiny"], target_load=1.0), 0)
+        mip = solve_mip(build_evcec(inst).model)
+        assert mip.status == "optimal"
+        assert mip.objective == pytest.approx(6700.999641631323, rel=1e-9)
+        res = branch_and_price(inst)
+        assert res.status == "optimal"
+        assert res.z == pytest.approx(mip.objective, rel=1e-9)
+        assert check_feasible(inst, res.incumbent).feasible
+        assert check_feasible(inst, local_search(inst, best_greedy(inst))).feasible
+
+    def test_master_holds_only_lambdas(self, monkeypatch):
+        masters = []
+
+        def recorded(*args):
+            masters.append(Master(*args))
+            return masters[-1]
+
+        monkeypatch.setattr(bp, "Master", recorded)
+        for inst in (generate(PRESETS["tiny"], 2), linking_infeasible_chain()):
+            branch_and_price(inst)
+            master = masters[-1]
+            assert master.model.num_vars == len(master.columns) == len(master.lam)
 
     def test_determinism(self):
         inst = generate(PRESETS["tiny"], 6)

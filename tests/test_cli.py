@@ -12,6 +12,8 @@ from chargeplan.heuristic import best_greedy, local_search
 from chargeplan.instance import PRESETS, generate, load, save, with_queue
 from chargeplan.report import parse_csv
 
+from test_bp import linking_infeasible_chain
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -142,6 +144,14 @@ class TestSolve:
         path = tmp_path / "saturated.json"
         save(dataclasses.replace(inst, tree=tree), path)
         code, stdout = run_cli(["solve", "--algo", algo, "--instance", str(path)])
+        assert code == 4 and stdout == ""
+        assert "proven infeasible" in capsys.readouterr().err
+
+    def test_linking_infeasible_bp_exits_4(self, tmp_path, capsys):
+        # Farkas rounds prove the chain infeasible at the root
+        path = tmp_path / "chain.json"
+        save(linking_infeasible_chain(), path)
+        code, stdout = run_cli(["solve", "--algo", "bp", "--instance", str(path)])
         assert code == 4 and stdout == ""
         assert "proven infeasible" in capsys.readouterr().err
 

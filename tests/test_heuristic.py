@@ -4,7 +4,13 @@ import time
 
 import pytest
 
-from chargeplan.evcec import check_feasible, min_posts, objective_value, station_rates
+from chargeplan.evcec import (
+    CAPACITY_TOL,
+    check_feasible,
+    min_posts,
+    objective_value,
+    station_rates,
+)
 from chargeplan.heuristic import (
     ALL_CRITERIA,
     Criterion,
@@ -48,10 +54,11 @@ def make_instance(n_locations, w, bcoef, m_max=2, mu=4.0, costs=None, dist_row=N
 
 def posts_by_loop(inst, rate, m_max, floor):
     """Reference post sizing: the first k in [max(1, floor), m_max] with
-    mu * rho_k >= rate, None when no count fits."""
+    mu * rho_k + CAPACITY_TOL >= rate, the audit's rule, None when no count
+    fits."""
     rho = rho_table_for(inst)
     for k in range(max(1, floor), m_max + 1):
-        if inst.queue.mu * rho.cap(k) >= rate:
+        if inst.queue.mu * rho.cap(k) + CAPACITY_TOL >= rate:
             return k
     return None
 
@@ -67,6 +74,17 @@ class TestMinPosts:
     def test_capacity_exhausted(self):
         # no count up to the largest (2) fits: one past it
         assert min_posts(make_instance(1, w=1.0, bcoef=0.0), [100.0]).tolist() == [3]
+
+    def test_rate_within_the_audit_tolerance_fits(self):
+        # one capacity rule: k posts absorb a rate up to CAPACITY_TOL above
+        # mu * rho_k, as the audit accepts.  Tiny seed 0 at target load 1.0
+        # has such a rate at node 2, station 0, with every station open.
+        inst = generate(dataclasses.replace(PRESETS["tiny"], target_load=1.0), 0)
+        rate = station_rates(inst, (True,) * inst.n_locations, 2)[0]
+        cap = inst.queue.mu * rho_table_for(inst).cap(3)
+        assert 0.0 < rate - cap < CAPACITY_TOL
+        assert min_posts(inst, [rate, cap + CAPACITY_TOL, cap + 2 * CAPACITY_TOL]).tolist() \
+            == [3, 3, 4]
 
     def test_floor_respected(self):
         # one post absorbs the demand, but the initial station keeps its 3

@@ -472,6 +472,26 @@ def cost_vector(model):
     return c
 
 
+def farkas_gap(model, sol):
+    """The best value of y.(A x - r) over x within the variable bounds and r
+    within the row activities the senses allow, for the ray y an infeasible
+    solve returns: below 0 when y proves that no x meets the rows.  A
+    coefficient below 1e-9, the rounding left on basic columns, counts as 0.
+    Also checks that the reduced costs are the zero-cost ones, -y.A_j."""
+    A, lo, up = dense_rows(model)
+    y = np.array([sol.duals[i] for i in range(model.num_constraints)])
+    g = y @ A
+    assert [sol.reduced_costs[j] for j in range(model.num_vars)] == pytest.approx(-g, abs=1e-9)
+    g[np.abs(g) <= 1e-9] = 0.0
+    best = 0.0
+    for coeff, low, high in zip(np.concatenate([g, -y]),
+                                [v.lower for v in model.vars] + list(lo),
+                                [v.upper for v in model.vars] + list(up)):
+        if coeff:
+            best += coeff * (high if coeff > 0 else low)
+    return best
+
+
 def record_runs(monkeypatch):
     """The statuses of every dual simplex run from here on, in order."""
     run, statuses = milp._DualSimplex.run, []
@@ -634,6 +654,7 @@ class TestAgainstHighs:
         rng = random.Random(4242)
         statuses = {0: "optimal", 2: "infeasible", 3: "unbounded"}
         seen = set()
+        rays = 0
         for trial in range(120):
             m = random_lp(rng, rng.randint(2, 8), rng.randint(1, 6))
             A, lo, up = dense_rows(m)
@@ -649,12 +670,17 @@ class TestAgainstHighs:
             sol = solve_lp(m)
             assert sol.status == statuses[res.status], f"trial {trial}"
             seen.add(sol.status)
+            if sol.status == "infeasible":
+                # the returned Farkas ray certifies the verdict
+                assert farkas_gap(m, sol) < -1e-7, f"trial {trial}"
+                rays += 1
             if sol.status == "optimal":
                 assert sol.objective == pytest.approx(res.fun + m.obj_offset, rel=1e-7, abs=1e-7)
                 x = np.array([sol.values[j] for j in range(m.num_vars)])
                 act = A @ x
                 assert np.all(act >= lo - 1e-7) and np.all(act <= up + 1e-7), f"trial {trial}"
         assert seen == {"optimal", "infeasible", "unbounded"}
+        assert rays >= 10
 
     def test_random_mips_match_milp(self):
         optimize = pytest.importorskip("scipy.optimize")
