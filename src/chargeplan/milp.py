@@ -4,17 +4,19 @@ A solver-agnostic model container, a bounded dual simplex (with dual and
 reduced-cost extraction), and ``best_first``: the one best-first search that
 drives both the branch and bound here and branch-and-price in ``bp``, with a
 bound that a time, node or round limit never lifts above the optimum.
-Variable bounds stay implicit: a nonbasic variable rests at its lower or upper
-bound, and each row's sense lives in the bounds of its logical variable.  The
-standard form is built once per model and grows in place when columns are
-appended (``Model.add_columns``); branch-and-bound children re-optimise from
-their parent's basis, which a bound fix leaves dual feasible, so only the root
-LP starts from the all-logical basis.  A basis stays usable after an append:
-the new columns start nonbasic at their lower bound.  A warm start carries
-the basis inverse too, so a solve inverts the basis only when updates have
-built up or a residual check fails (see ``_DualSimplex``); the searches keep
-the inverse on few open nodes.  A run that stalls on dual degeneracy restarts
-on slightly perturbed costs and then returns to the true ones, and columns
+Variable bounds stay implicit: a nonbasic variable rests at its lower or
+upper bound, and each row's sense lives in the bounds of its logical
+variable.  The standard form is built once per model and grows in place when
+columns are appended (``Model.add_columns``); branch-and-bound children
+re-optimise from their parent's basis, which a bound fix leaves dual
+feasible.  A cold solve starts from a triangular crash of the zero-cost
+columns (``_crash``), which keeps y = 0 and d = c, so it needs nothing the
+all-logical basis does not.  A basis stays usable after an append: the new
+columns start nonbasic at their lower bound.  A warm start carries the basis
+inverse too, so a solve inverts the basis only when updates have built up or
+a residual check fails (see ``_DualSimplex``); the searches keep the inverse
+on few open nodes.  A run that stalls on dual degeneracy restarts on
+slightly perturbed costs and then returns to the true ones, and columns
 whose reduced costs come back wrong-signed by noise after a flip are not
 flipped again.  Dense arrays are deliberate: every model this package solves
 is desk scale, and a self-contained kernel keeps results reproducible.  The
@@ -322,6 +324,33 @@ def _standard_form(model: Model) -> _StandardForm:
     if model._std is None:
         model._std = _StandardForm(model)
     return model._std
+
+
+def _crash(std: _StandardForm) -> np.ndarray:
+    """The start basis of a cold solve: a triangular crash of the zero-cost
+    columns into the all-logical basis.  In id order, each structural with
+    cost exactly 0 and lo < up takes a still-open row of its support whose
+    |a_ij| is at least 0.1 of the column's largest and above ``_PIVOT_TOL``:
+    an equality row first (its fixed logical must leave anyway), then the
+    row with the fewest nonzeros, then the largest |a_ij|.  Its whole support
+    then closes, so no later crashed column touches its row and the crashed
+    block is triangular, hence nonsingular.  Every crashed column costs 0, so
+    y = 0 and d = c exactly as from the all-logical basis, which is what a
+    model without such a column gets."""
+    n, m = std.n, std.m
+    head = np.arange(n, n + m)
+    cols = np.flatnonzero((std.c[:n] == 0.0) & (std.lo[:n] < std.up[:n]))
+    a = np.abs(std.A[:, cols]).T
+    k, i = np.nonzero((a >= 0.1 * a.max(axis=1, initial=0.0)[:, None]) & (a > _PIVOT_TOL))
+    # each column's eligible rows in order of preference, the columns in id order
+    order = np.lexsort((-a[k, i], np.count_nonzero(std.A, axis=1)[i],
+                        std.lo[n + i] != std.up[n + i], k))
+    open_row = np.ones(m, dtype=bool)
+    for j, r in zip(cols[k[order]].tolist(), i[order].tolist()):
+        if open_row[r]:  # closing the support skips the column's other rows
+            head[r] = j
+            open_row[std.rows_of[j]] = False
+    return head
 
 
 def _invert(std: _StandardForm, head: np.ndarray) -> np.ndarray:
@@ -634,7 +663,8 @@ def solve_lp(model: Model, overrides: dict[int, tuple[float, float]] | None = No
     branch and bound, where tightening a bound keeps it dual feasible, or the
     last solve's before columns were appended.  The solve starts from a copy
     of the basis inverse when the basis carries one, and returns its own
-    final inverse with the basis.
+    final inverse with the basis.  Without a basis it starts from the crash
+    basis (``_crash``).
     """
     std = _standard_form(model)
     n, m = std.n, std.m
@@ -649,7 +679,7 @@ def solve_lp(model: Model, overrides: dict[int, tuple[float, float]] | None = No
     at_upper = np.zeros(n + m, dtype=bool)
     inverse, updates = None, 0
     if basis is None:
-        head = np.arange(n, n + m)
+        head = _crash(std)
     else:
         if len(basis.head) != m:
             raise ModelError(f"basis has {len(basis.head)} rows, model has {m}")

@@ -5,8 +5,10 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chargeplan import bp, milp
+from chargeplan.approx import approximate
 from chargeplan.bp import (
     PRICING_COLUMNS,
     RC_TOL,
@@ -847,3 +849,26 @@ class TestBranchAndPrice:
         assert a.z == b.z
         assert a.stats["branch_nodes"] == b.stats["branch_nodes"]
         assert a.incumbent == b.incumbent
+
+    @given(seed=st.integers(14, 10_000), b=st.integers(0, 2))
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    def test_bound_chain_on_random_tiny_instances(self, seed, b):
+        # approximate's bound <= the MIP optimum = the branch-and-price
+        # optimum <= the cost of the rounded plan, and every plan passes the
+        # audit; on an infeasible instance the exact solvers agree
+        inst = with_queue(generate(PRESETS["tiny"], seed), b=b)
+        em = build_evcec(inst)
+        mip = solve_mip(em.model)
+        res = branch_and_price(inst)
+        if mip.status == "infeasible":
+            assert res.status == "infeasible"
+            return
+        appr = approximate(inst)
+        assert mip.status == res.status == appr.status == "optimal"
+        tol = 1e-6 * abs(mip.objective)
+        assert appr.lb <= mip.objective + tol
+        assert res.z == pytest.approx(mip.objective, rel=1e-6)
+        assert mip.objective <= appr.z_appr + tol
+        for plan in (decode_deployment(em, mip.values), res.incumbent, appr.deployment):
+            assert check_feasible(inst, plan).feasible
+

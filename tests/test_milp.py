@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from chargeplan import bp, milp
-from chargeplan.evcec import build_evcec
+from chargeplan.evcec import build_evcec, build_revcec
 from chargeplan.instance import PRESETS, generate, with_queue
 from chargeplan.milp import (
     BINARY,
@@ -492,6 +492,38 @@ def farkas_gap(model, sol):
     return best
 
 
+def all_logical(model):
+    """The all-logical basis of a model, to start a solve without the crash."""
+    n = model.num_vars
+    return LpBasis(np.arange(n, n + model.num_constraints), np.array([], dtype=np.intp), n)
+
+
+def crash_by_loop(model):
+    """Reference for ``milp._crash``, one column at a time from the model's
+    rows: in id order, each zero-cost column with lower < upper takes the
+    open row of its support that is an equality, then the sparsest, then has
+    the largest |a_ij| (at least 0.1 of the column's largest and above 1e-9),
+    then the lowest id; its whole support then closes."""
+    n, m = model.num_vars, model.num_constraints
+    entries = [{} for _ in range(n)]
+    for i, con in enumerate(model.cons):
+        for j, coeff in con.terms:
+            entries[j][i] = abs(coeff)
+    head = list(range(n, n + m))
+    open_row = [True] * m
+    for j, var in enumerate(model.vars):
+        if model.obj.get(j, 0.0) != 0.0 or not var.lower < var.upper or not entries[j]:
+            continue
+        big = max(entries[j].values())
+        rows = [i for i, a in entries[j].items() if open_row[i] and a >= 0.1 * big and a > 1e-9]
+        if rows:
+            head[min(rows, key=lambda i: (model.cons[i].sense != EQ, len(model.cons[i].terms),
+                                          -entries[j][i], i))] = j
+            for i in entries[j]:
+                open_row[i] = False
+    return np.array(head)
+
+
 def record_runs(monkeypatch):
     """The statuses of every dual simplex run from here on, in order."""
     run, statuses = milp._DualSimplex.run, []
@@ -576,10 +608,11 @@ class TestKernelFailures:
                              [((0.0, 0.0, 0.0), 1, True), ((1.0, 2.0, 3.0), 0, False)])
     def test_stall_detector_counts_dual_degenerate_pivots(self, costs, threshold, stalls,
                                                           monkeypatch):
-        # three rows x_i >= 1, each fixed by one pivot: with zero costs each
-        # pivot's dual step is 0, so the second one already passes a
-        # threshold of 1; with distinct positive costs every step is at least
-        # 1, so not even a threshold of 0 is passed
+        # three rows x_i >= 1, each fixed by one pivot from the all-logical
+        # basis (a cold solve would crash zero-cost columns in instead): with
+        # zero costs each pivot's dual step is 0, so the second one already
+        # passes a threshold of 1; with distinct positive costs every step is
+        # at least 1, so not even a threshold of 0 is passed
         m = Model()
         xs = [m.add_var() for _ in costs]
         for x in xs:
@@ -587,7 +620,8 @@ class TestKernelFailures:
         m.set_objective(zip(xs, costs))
         monkeypatch.setattr(milp, "_STALL_PIVOTS", threshold)
         statuses = record_runs(monkeypatch)
-        sol = solve_lp(m)
+        sol = solve_lp(m, basis=all_logical(m))
+        assert sol.pivots == 3
         assert sol.status == "optimal" and sol.objective == pytest.approx(sum(costs))
         assert [sol.values[x] for x in xs] == pytest.approx([1.0, 1.0, 1.0])
         assert ("stalled" in statuses) == stalls
@@ -648,39 +682,64 @@ class TestKernelFailures:
             solve_lp(m)
 
 
+def check_against_linprog(optimize, m, trial) -> str:
+    """Solve m and check it against HiGHS: the same status, the objective and
+    row activities of an optimum, and a Farkas ray that certifies an
+    infeasible verdict.  Returns the status."""
+    A, lo, up = dense_rows(m)
+    le, ge, eq = np.isinf(lo), np.isinf(up), lo == up
+    res = optimize.linprog(
+        cost_vector(m),
+        A_ub=np.vstack([A[le], -A[ge]]), b_ub=np.concatenate([up[le], -lo[ge]]),
+        A_eq=A[eq] if eq.any() else None, b_eq=lo[eq] if eq.any() else None,
+        bounds=[(None if v.lower == -INF else v.lower, None if v.upper == INF else v.upper)
+                for v in m.vars],
+        method="highs",
+    )
+    sol = solve_lp(m)
+    assert sol.status == {0: "optimal", 2: "infeasible", 3: "unbounded"}[res.status], \
+        f"trial {trial}"
+    if sol.status == "infeasible":
+        assert farkas_gap(m, sol) < -1e-7, f"trial {trial}"
+    if sol.status == "optimal":
+        assert sol.objective == pytest.approx(res.fun + m.obj_offset, rel=1e-7, abs=1e-7)
+        x = np.array([sol.values[j] for j in range(m.num_vars)])
+        act = A @ x
+        assert np.all(act >= lo - 1e-7) and np.all(act <= up + 1e-7), f"trial {trial}"
+    return sol.status
+
+
 class TestAgainstHighs:
     def test_random_lps_match_linprog(self):
         optimize = pytest.importorskip("scipy.optimize")
         rng = random.Random(4242)
-        statuses = {0: "optimal", 2: "infeasible", 3: "unbounded"}
-        seen = set()
-        rays = 0
+        statuses = [check_against_linprog(optimize, random_lp(rng, rng.randint(2, 8),
+                                                              rng.randint(1, 6)), trial)
+                    for trial in range(120)]
+        assert set(statuses) == {"optimal", "infeasible", "unbounded"}
+        assert statuses.count("infeasible") >= 10
+
+    def test_random_lps_with_zero_costs_match_linprog(self):
+        # half the costs are exactly 0, so a cold solve starts from a crash
+        # basis holding zero-cost free, one-sided and boxed columns, in at
+        # least three quarters of the trials
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = random.Random(2424)
+        statuses, crashed, kinds = [], 0, set()
         for trial in range(120):
             m = random_lp(rng, rng.randint(2, 8), rng.randint(1, 6))
-            A, lo, up = dense_rows(m)
-            le, ge, eq = np.isinf(lo), np.isinf(up), lo == up
-            res = optimize.linprog(
-                cost_vector(m),
-                A_ub=np.vstack([A[le], -A[ge]]), b_ub=np.concatenate([up[le], -lo[ge]]),
-                A_eq=A[eq] if eq.any() else None, b_eq=lo[eq] if eq.any() else None,
-                bounds=[(None if v.lower == -INF else v.lower, None if v.upper == INF else v.upper)
-                        for v in m.vars],
-                method="highs",
-            )
-            sol = solve_lp(m)
-            assert sol.status == statuses[res.status], f"trial {trial}"
-            seen.add(sol.status)
-            if sol.status == "infeasible":
-                # the returned Farkas ray certifies the verdict
-                assert farkas_gap(m, sol) < -1e-7, f"trial {trial}"
-                rays += 1
-            if sol.status == "optimal":
-                assert sol.objective == pytest.approx(res.fun + m.obj_offset, rel=1e-7, abs=1e-7)
-                x = np.array([sol.values[j] for j in range(m.num_vars)])
-                act = A @ x
-                assert np.all(act >= lo - 1e-7) and np.all(act <= up + 1e-7), f"trial {trial}"
-        assert seen == {"optimal", "infeasible", "unbounded"}
-        assert rays >= 10
+            m.set_objective([(j, 0.0 if rng.random() < 0.5 else c) for j, c in m.obj.items()],
+                            m.obj_offset)
+            head = milp._crash(milp._standard_form(m))
+            assert np.array_equal(head, crash_by_loop(m)), f"trial {trial}"
+            basic = [m.vars[j] for j in head[head < m.num_vars]]
+            crashed += bool(basic)
+            kinds |= {(v.lower > -INF, v.upper < INF) for v in basic}
+            statuses.append(check_against_linprog(optimize, m, trial))
+        assert crashed >= 90
+        assert kinds == {(False, False), (False, True), (True, False), (True, True)}
+        assert set(statuses) == {"optimal", "infeasible", "unbounded"}
+        assert statuses.count("infeasible") >= 10
 
     def test_random_mips_match_milp(self):
         optimize = pytest.importorskip("scipy.optimize")
@@ -1042,3 +1101,46 @@ class TestCarriedInverse:
         res = bp.branch_and_price(with_queue(generate(wider, 2), b=1))
         assert res.status == "optimal"
         assert seen["heap"] >= 8 and seen["inverses"] <= 3
+
+
+class TestCrashBasis:
+    def test_crash_invariants_on_tiny_models(self):
+        # the benchmark's tiny MIP cells, exact and partially relaxed: the
+        # crash fills a triangular block of zero-cost columns, starts from
+        # y = 0 and d = c, and reaches the optimum of an all-logical start
+        # in at most 0.6 of its pivots
+        crash_pivots = logical_pivots = 0
+        for seed, b in itertools.product((3, 5), (0, 1, 2)):
+            inst = with_queue(generate(PRESETS["tiny"], seed), b=b)
+            for build in (build_evcec, build_revcec):
+                m = build(inst).model
+                std = milp._standard_form(m)
+                head = milp._crash(std)
+                assert np.array_equal(head, crash_by_loop(m))
+                rows = np.flatnonzero(head < std.n)
+                rows = rows[np.argsort(head[rows])]   # in crash order
+                cols = head[rows]
+                assert cols.size > 0
+                assert np.all(std.c[cols] == 0.0) and np.all(std.lo[cols] < std.up[cols])
+                # no crashed column has an entry in the row of a later one
+                block = std.A[np.ix_(rows, cols)]
+                assert np.all(np.tril(block, -1) == 0.0) and np.all(np.diag(block) != 0.0)
+                binv = milp._invert(std, head)
+                basis = np.hstack([std.A, np.eye(std.m)])[:, head]
+                assert np.abs(binv @ basis - np.eye(std.m)).max() <= 1e-9
+                start = milp._DualSimplex(std, std.lo, std.up, std.c, head,
+                                          np.zeros(std.n + std.m, dtype=bool))
+                assert np.all(start.y == 0.0) and np.all(start.d == std.c)
+                cold, ref = solve_lp(m), solve_lp(m, basis=all_logical(m))
+                assert cold.status == ref.status == "optimal"
+                assert cold.objective == pytest.approx(ref.objective, rel=1e-9)
+                crash_pivots += cold.pivots
+                logical_pivots += ref.pivots
+        assert crash_pivots <= 0.6 * logical_pivots
+
+    def test_no_zero_cost_column_keeps_the_all_logical_basis(self):
+        m = multi_knapsack(0)
+        n = m.num_vars
+        assert np.array_equal(milp._crash(milp._standard_form(m)),
+                              np.arange(n, n + m.num_constraints))
+
