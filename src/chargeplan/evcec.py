@@ -109,14 +109,27 @@ def pattern_rates(inst: Instance, n: int, x: np.ndarray):
     lambda[j] accumulates theta_i * (w_i + bcoef_i * open_near_i) * p_ij over
     zones i near j, where p_ij is the logit share and open_near_i the number
     of open stations within zone i's radius.
+
+    A row's rates do not depend on the rows evaluated with it: the sums of
+    attractions run location by location and the rates zone by zone, in a
+    fixed order, where a matrix product would pick its summation order by
+    the number of rows.  (The counts open_near are small integers, exact in
+    any order.)  The work runs on patterns as the last axis, so each step is
+    one pass over contiguous memory.
     """
     near, attr, theta, w, bcoef = zone_arrays(inst, n)
-    open_near = x @ near.T
-    denom = x @ attr.T
-    covered = (open_near > 0).all(axis=1)
+    xt = np.ascontiguousarray(x.T)
+    open_near = near @ xt
+    covered = (open_near > 0).all(axis=0)
+    denom = attr[:, 0, None] * xt[0]
+    for j in range(1, inst.n_locations):
+        denom += attr[:, j, None] * xt[j]
     denom[open_near == 0] = 1.0
-    rates = ((theta * (w + bcoef * open_near)) / denom) @ attr * x
-    return rates, covered
+    coef = (theta[:, None] * (w[:, None] + bcoef[:, None] * open_near)) / denom
+    rates = attr[0, :, None] * coef[0]
+    for i in range(1, inst.n_zones):
+        rates += attr[i, :, None] * coef[i]
+    return (rates * xt).T, covered
 
 
 def station_rates(inst: Instance, open_flags, n: int) -> tuple[float, ...]:

@@ -15,10 +15,13 @@ all-logical basis does not.  A basis stays usable after an append: the new
 columns start nonbasic at their lower bound.  A warm start carries the basis
 inverse too, so a solve inverts the basis only when updates have built up or
 a residual check fails (see ``_DualSimplex``); the searches keep the inverse
-on few open nodes.  A run that stalls on dual degeneracy restarts on
-slightly perturbed costs and then returns to the true ones, and columns
-whose reduced costs come back wrong-signed by noise after a flip are not
-flipped again.  Dense arrays are deliberate: every model this package solves
+on few open nodes.  The dual simplex keeps its state and updates only what a
+pivot or a bound flip changes, and an optimal basis carries its duals,
+reduced costs and steepest-edge weights, so a warm start under the same
+costs recomputes only x (a hot start).  A run that stalls on dual
+degeneracy restarts on slightly perturbed costs and then returns to the
+true ones, and columns whose reduced costs come back wrong-signed by noise
+after a flip are not flipped again.  Dense arrays are deliberate: every model this package solves
 is desk scale, and a self-contained kernel keeps results reproducible.  The
 narrow ``solve_lp`` / ``solve_mip`` surface lets an external solver be
 adapted in later without touching callers.
@@ -245,16 +248,22 @@ class LpBasis:
     solve ended on (row i belongs to ``head[i]``), after ``updates`` pivots
     since it was last inverted; a solve from this basis starts from a copy of
     it.  Appended columns are nonbasic, so ``Model.add_columns`` leaves it
-    valid.  Without it, the solve inverts the basis first.
+    valid.  Without it, the solve inverts the basis first.  ``duals`` is
+    (c, y, d, w) when the solve ended optimal under the standard form's cost
+    vector c: the duals, reduced costs and steepest-edge weights it computed
+    and checked through ``inverse``.  A solve under that same c starts from
+    copies of them (hot start); any other start recomputes them.
     """
     head: np.ndarray
     at_upper: np.ndarray
     n: int
     inverse: np.ndarray | None = None
     updates: int = 0
+    duals: tuple | None = None
 
     def bare(self) -> LpBasis:
-        """The same basis without its inverse, to keep one that waits long."""
+        """The same basis without its inverse and duals, to keep one that
+        waits long."""
         return LpBasis(self.head, self.at_upper, self.n)
 
     def columns(self, n: int):
@@ -381,21 +390,30 @@ def _invert(std: _StandardForm, head: np.ndarray) -> np.ndarray:
 class _DualSimplex:
     """Bounded dual simplex on a standard form under given bounds and costs.
 
-    Keeps an explicit basis inverse, updated at every pivot.  It starts from
-    a carried inverse when it is given one and inverts the basic columns
-    afresh only when an accuracy check fails or ``_REFACTOR_EVERY`` updates
-    have built up, counted across warm starts.  The checks are the pivot
-    element against the pivot row at every pivot, and the primal and dual
-    residuals of x and y recomputed through the inverse (``settle``) when the
-    solver starts and before it declares optimality.  Rows are priced by dual
-    steepest edge with exact weights; the ratio test passes the breakpoints
-    of boxed columns by flipping them to their other bound (bound-flipping
-    ratio test) and picks the largest pivot among the breakpoints within the
-    dual tolerance (Harris).
+    Keeps its state and updates it in place: the basis inverse, x, y, the
+    reduced costs d, the steepest-edge weights w and the masks of the
+    nonbasic movable columns that may rise (``can_rise``: not at their upper
+    bound) or fall (``can_fall``: not at their lower bound).  A pivot
+    rewrites only the rows of the inverse that its entering column touches,
+    with their weights, and a pivot, flip or restart sets the mask bits of
+    only the columns it moves.  The solver starts from a carried inverse
+    when it is given one and inverts the basic columns afresh only when an
+    accuracy check fails or ``_REFACTOR_EVERY`` updates have built up,
+    counted across warm starts.  The checks are the pivot element against
+    the pivot row at every pivot, and the primal and dual residuals of x and
+    y recomputed through the inverse (``settle``) when the solver starts and
+    before it declares optimality.  A start that is given the y, d and w its
+    inverse was checked with (a hot start, or a restart under the same
+    costs) recomputes only x and checks only the primal residual.  Rows are
+    priced by dual steepest edge with exact weights; the ratio test passes
+    the breakpoints of boxed columns by flipping them to their other bound
+    (bound-flipping ratio test) and picks the largest pivot among the
+    breakpoints within the dual tolerance (Harris).
     """
 
     def __init__(self, std: _StandardForm, lo, up, cost, head, at_upper,
-                 inverse: np.ndarray | None = None, updates: int = 0):
+                 inverse: np.ndarray | None = None, updates: int = 0,
+                 duals: tuple | None = None):
         n, m = std.n, std.m
         self.std, self.lo, self.up, self.c = std, lo, up, cost
         self.head = np.array(head, dtype=np.intp)
@@ -407,18 +425,40 @@ class _DualSimplex:
         self.range = up - lo
         self.at_up = (at_upper & finite_up) | (~self.finite_lo & finite_up)
         self.x = np.where(self.at_up, up, np.where(self.finite_lo, lo, 0.0))
+        self.can_rise = np.empty(n + m, dtype=bool)
+        self.can_fall = np.empty(n + m, dtype=bool)
+        self._mark(slice(None))
         self.pivots = self.refactors = 0
         if inverse is None:
             self.refactor()
-        else:
-            self.binv, self.updates = inverse, updates
+            return
+        self.binv, self.updates = inverse, updates
+        if duals is None:
+            self._weigh()
             self.settle()
+            return
+        self.y, self.d, self.w = duals
+        self._basic_x()
+        if not self._primal_accurate():
+            self.refactor()
+        self.checked = True
+
+    def _mark(self, cols) -> None:
+        """Set the ``can_rise`` and ``can_fall`` bits of ``cols`` from their
+        position, bounds and resting side."""
+        free = (self.pos[cols] < 0) & self.movable[cols]
+        at_up = self.at_up[cols]
+        self.can_rise[cols] = free & ~at_up
+        self.can_fall[cols] = free & (at_up | ~self.finite_lo[cols])
 
     def resume(self, lo, up, cost, at_upper) -> _DualSimplex:
         """A solver on this basis under other bounds or costs.  It takes over
         the inverse, which this solver must not use again, and carries on the
-        pivot and inversion counts."""
-        nxt = _DualSimplex(self.std, lo, up, cost, self.head, at_upper, self.binv, self.updates)
+        pivot and inversion counts; under the same costs it also takes over
+        y, d and w once they are checked."""
+        duals = (self.y, self.d, self.w) if self.checked and cost is self.c else None
+        nxt = _DualSimplex(self.std, lo, up, cost, self.head, at_upper, self.binv,
+                           self.updates, duals)
         nxt.pivots += self.pivots
         nxt.refactors += self.refactors
         return nxt
@@ -429,37 +469,51 @@ class _DualSimplex:
         self.updates = 0
         self.refactors += 1
         self._recompute()
+        self._weigh()
         self.checked = True
 
+    def _basic_x(self) -> None:
+        """x of the basic columns through the inverse."""
+        std, head, x = self.std, self.head, self.x
+        x[head] = 0.0
+        x[head] = -(self.binv @ (std.A @ x[:std.n] + x[std.n:]))
+
+    def _weigh(self) -> None:
+        """The exact dual steepest-edge weights: the squared norms of the
+        rows of the inverse."""
+        self.w = np.einsum("ij,ij->i", self.binv, self.binv)
+
     def _recompute(self) -> np.ndarray:
-        """x of the basic columns, y, d and the steepest-edge weights through
-        the inverse.  Returns the dual residual c_B - y B: d on the basic
-        columns before they are set to 0."""
+        """x of the basic columns, y and d through the inverse.  Returns the
+        dual residual c_B - y B: d on the basic columns before they are set
+        to 0."""
         std, head, binv = self.std, self.head, self.binv
         n = std.n
-        x = self.x
-        x[head] = 0.0
-        x[head] = -(binv @ (std.A @ x[:n] + x[n:]))
+        self._basic_x()
         self.y = self.c[head] @ binv
         self.d = self.c.copy()
         self.d[:n] -= self.y @ std.A
         self.d[n:] -= self.y
         residual = self.d[head]
         self.d[head] = 0.0
-        self.w = np.einsum("ij,ij->i", binv, binv)
         return residual
+
+    def _primal_accurate(self) -> bool:
+        """Whether the primal residual A x + s vanishes to ``_RESIDUAL_TOL``
+        relative to the size of x (NaN residuals fail)."""
+        std, x = self.std, self.x
+        primal = np.abs(std.A @ x[:std.n] + x[std.n:]).max(initial=0.0)
+        return primal <= _RESIDUAL_TOL * (1.0 + np.abs(x).max(initial=0.0))
 
     def settle(self) -> None:
         """Recompute x, y and d through the current inverse and check it: the
         primal residual A x + s and the dual residual c_B - y B must vanish to
         ``_RESIDUAL_TOL`` relative to the size of x and of c_B.  If either
-        fails, the basis is inverted afresh."""
+        fails, the basis is inverted afresh.  The weights stay: every pivot
+        recomputes those of the rows it changes from the rows themselves."""
         dual = np.abs(self._recompute()).max(initial=0.0)
-        std, x = self.std, self.x
-        primal = np.abs(std.A @ x[:std.n] + x[std.n:]).max(initial=0.0)
-        accurate = (primal <= _RESIDUAL_TOL * (1.0 + np.abs(x).max(initial=0.0))
-                    and dual <= _RESIDUAL_TOL * (1.0 + np.abs(self.c[self.head]).max(initial=0.0)))
-        if not accurate:  # NaN residuals fail too
+        if not (self._primal_accurate()  # NaN residuals fail too
+                and dual <= _RESIDUAL_TOL * (1.0 + np.abs(self.c[self.head]).max(initial=0.0))):
             self.refactor()
         self.checked = True
 
@@ -467,20 +521,21 @@ class _DualSimplex:
         """Mask of the nonbasic columns whose reduced cost points past the
         bound they rest on."""
         d = self.d
-        at_lo = ~self.at_up & self.finite_lo
-        return ((self.pos < 0) & self.movable
-                & (((d < -_OPT_TOL) & ~self.at_up) | ((d > _OPT_TOL) & ~at_lo)))
+        return (self.can_rise & (d < -_OPT_TOL)) | (self.can_fall & (d > _OPT_TOL))
 
     def flip(self, cols: np.ndarray) -> None:
+        """Move the nonbasic columns ``cols`` (distinct, boxed) to their other
+        bound and the basic x with them."""
         n = self.std.n
-        self.at_up[cols] = ~self.at_up[cols]
-        new = np.where(self.at_up[cols], self.up[cols], self.lo[cols])
+        at_up = ~self.at_up[cols]
+        self.at_up[cols] = at_up
+        self._mark(cols)
+        new = np.where(at_up, self.up[cols], self.lo[cols])
         delta = new - self.x[cols]
         self.x[cols] = new
-        v = np.zeros(self.std.m)
         s = cols < n
-        v += self.std.A[:, cols[s]] @ delta[s]
-        np.add.at(v, cols[~s] - n, delta[~s])
+        v = self.std.A[:, cols[s]] @ delta[s]
+        v[cols[~s] - n] += delta[~s]
         self.x[self.head] -= self.binv @ v
 
     def run(self, stall_pivots: int | None = None) -> str:
@@ -505,37 +560,33 @@ class _DualSimplex:
                     return "optimal"
                 self.settle()
                 continue
-            r = int(np.argmax(infeas * infeas / self.w))
+            r = int((infeas * infeas / self.w).argmax())
             to_lower = below[r] > 0.0
             p = int(head[r])
 
             rho = self.binv[r]
-            alpha = np.empty(n + std.m)
-            alpha[:n] = rho @ A
-            alpha[n:] = rho
+            alpha = np.concatenate((rho @ A, rho))
             a = self.ray = -alpha if to_lower else alpha
-            at_lo = ~self.at_up & self.finite_lo
-            cand = np.flatnonzero(
-                (self.pos < 0) & self.movable
-                & (((a > _PIVOT_TOL) & ~self.at_up) | ((a < -_PIVOT_TOL) & ~at_lo))
-            )
+            # numpy methods rather than functions: the wrappers cost more
+            # than the work on these short arrays
+            cand = ((self.can_rise & (a > _PIVOT_TOL))
+                    | (self.can_fall & (a < -_PIVOT_TOL))).nonzero()[0]
             if cand.size == 0:
                 return "infeasible"
             ac, dc = a[cand], self.d[cand]
             ratio = np.maximum(dc / ac, 0.0)
-            order = np.argsort(ratio, kind="stable")
+            order = ratio.argsort(kind="stable")
             cand, ac, dc, ratio = cand[order], ac[order], dc[order], ratio[order]
             # bound flipping: pass each boxed breakpoint while the dual
             # objective still rises along the ray, that is while the flips
             # leave the row infeasible by more than the tolerance
-            k = int(np.searchsorted(np.cumsum(np.abs(ac) * self.range[cand]),
-                                    infeas[r] - _FEAS_TOL))
+            k = int((np.abs(ac) * self.range[cand]).cumsum().searchsorted(infeas[r] - _FEAS_TOL))
             if k == cand.size:
                 return "infeasible"
             tail_a = ac[k:]
             harris = max(((dc[k:] + np.copysign(_OPT_TOL, tail_a)) / tail_a).min(), ratio[k])
-            near = np.flatnonzero(ratio[k:] <= harris)
-            pick = k + int(near[np.argmax(np.abs(tail_a[near]))])
+            near = (ratio[k:] <= harris).nonzero()[0]
+            pick = k + int(near[np.abs(tail_a[near]).argmax()])
             flat = flat + 1 if ratio[pick] < _OPT_TOL else 0
             if stall_pivots is not None and flat > stall_pivots:
                 return "stalled"
@@ -552,38 +603,60 @@ class _DualSimplex:
             if abs(piv - alpha[q]) > 1e-7 * (1.0 + abs(piv)):
                 self.refactor()  # the updated inverse has drifted
                 continue
-
-            theta_d = ratio[pick] if not to_lower else -ratio[pick]
-            self.d -= theta_d * alpha
-            self.d[head] = 0.0
-            self.d[p] = -theta_d
-            self.d[q] = 0.0
-
-            bound = self.lo[p] if to_lower else self.up[p]
-            theta_p = (self.x[p] - bound) / piv
-            self.x[head] -= theta_p * col
-            self.x[q] += theta_p
-            self.x[p] = bound
-
-            self.at_up[p] = not to_lower
-            self.pos[p] = -1
-            self.pos[q] = r
-            head[r] = q
-
-            binv = self.binv
-            binv[r] /= piv
-            touched = np.flatnonzero(col)
-            touched = touched[touched != r]
-            if touched.size:
-                binv[touched] -= np.outer(col[touched], binv[r])
-            touched = np.append(touched, r)
-            self.w[touched] = np.einsum("ij,ij->i", binv[touched], binv[touched])
-            self.updates += 1
-            self.pivots += 1
-            self.checked = False
+            self.pivot(r, q, col, alpha, ratio[pick], to_lower)
             if self.updates >= _REFACTOR_EVERY:
                 self.refactor()
         raise KernelError("dual simplex iteration guard tripped")
+
+    def pivot(self, r: int, q: int, col: np.ndarray, alpha: np.ndarray, step: float,
+              to_lower: bool) -> None:
+        """Column q enters in row r, whose column leaves at its lower bound
+        if ``to_lower``, else at its upper one: update d by the dual step
+        ``step`` along the pivot row ``alpha``, x along the entering column
+        ``col`` (the inverse times A_q), the masks of both columns, and the
+        touched rows of the inverse with their weights."""
+        head = self.head
+        p = int(head[r])
+        piv = col[r]
+        theta_d = -step if to_lower else step
+        self.d -= theta_d * alpha
+        self.d[head] = 0.0
+        self.d[p] = -theta_d
+        self.d[q] = 0.0
+
+        bound = self.lo[p] if to_lower else self.up[p]
+        theta_p = (self.x[p] - bound) / piv
+        self.x[head] -= theta_p * col
+        self.x[q] += theta_p
+        self.x[p] = bound
+
+        self.at_up[p] = not to_lower
+        self.pos[p] = -1
+        self.pos[q] = r
+        head[r] = q
+        # p rests on the bound it left by, a finite one
+        self.can_rise[p] = to_lower and self.movable[p]
+        self.can_fall[p] = not to_lower and self.movable[p]
+        self.can_rise[q] = self.can_fall[q] = False
+
+        # one gather of the touched rows (row r among them, as col[r] != 0):
+        # row r is divided by the pivot, and the others lose their multiple
+        # of it (eta, 0 for row r itself), only on the columns where it is
+        # nonzero (a few percent of them: the inverse is sparse); those
+        # columns are gathered through the transpose, as rows gather faster
+        touched = col.nonzero()[0]
+        block = self.binv[touched]
+        k = int(touched.searchsorted(r))
+        block[k] /= piv
+        nz = block[k].nonzero()[0]
+        eta = col[touched]
+        eta[k] = 0.0
+        block.T[nz] -= block[k, nz][:, None] * eta
+        self.binv[touched] = block
+        self.w[touched] = np.einsum("ij,ij->i", block, block)
+        self.updates += 1
+        self.pivots += 1
+        self.checked = False
 
 
 def _phase1_bounds(lo: np.ndarray, up: np.ndarray):
@@ -606,16 +679,18 @@ def _perturbed(cost: np.ndarray, sim: _DualSimplex, seed: int) -> np.ndarray:
     return cost + np.where((sim.pos < 0) & sim.movable, side * step, 0.0)
 
 
-def _optimize(std: _StandardForm, lo, up, cost, head, at_upper, inverse=None, updates=0):
-    """Dual simplex from the given basis (and its inverse, if given), with a
-    dual phase 1 when that basis is not dual feasible.  A run that stalls
-    restarts on perturbed costs; its optimal basis then goes back to the true
-    costs, where bound flips (or a dual phase 1) repair what the perturbation
-    hid.  Each stage takes over the inverse of the one before.  Returns
-    (status, solver) with status 'optimal', 'infeasible' or 'dual_infeasible'
-    (no dual feasible basis exists, so the LP is unbounded or infeasible);
-    the solver counts the pivots and inversions of every stage."""
-    sim = _DualSimplex(std, lo, up, cost, head, at_upper, inverse, updates)
+def _optimize(std: _StandardForm, lo, up, cost, head, at_upper, inverse=None, updates=0,
+              duals=None):
+    """Dual simplex from the given basis (and its inverse, and the y, d and w
+    checked with it under ``cost``, if given), with a dual phase 1 when that
+    basis is not dual feasible.  A run that stalls restarts on perturbed
+    costs; its optimal basis then goes back to the true costs, where bound
+    flips (or a dual phase 1) repair what the perturbation hid.  Each stage
+    takes over the inverse of the one before.  Returns (status, solver) with
+    status 'optimal', 'infeasible' or 'dual_infeasible' (no dual feasible
+    basis exists, so the LP is unbounded or infeasible); the solver counts
+    the pivots and inversions of every stage."""
+    sim = _DualSimplex(std, lo, up, cost, head, at_upper, inverse, updates, duals)
     solved = False
     flipped = np.zeros(std.n + std.m, dtype=bool)
     for round_no in range(_ROUNDS):
@@ -663,8 +738,10 @@ def solve_lp(model: Model, overrides: dict[int, tuple[float, float]] | None = No
     branch and bound, where tightening a bound keeps it dual feasible, or the
     last solve's before columns were appended.  The solve starts from a copy
     of the basis inverse when the basis carries one, and returns its own
-    final inverse with the basis.  Without a basis it starts from the crash
-    basis (``_crash``).
+    final inverse with the basis; an optimal solve returns its duals with
+    them, and a solve from that basis under the same costs starts from
+    copies of those too.  Without a basis it starts from the crash basis
+    (``_crash``).
     """
     std = _standard_form(model)
     n, m = std.n, std.m
@@ -677,7 +754,7 @@ def solve_lp(model: Model, overrides: dict[int, tuple[float, float]] | None = No
         return LpSolution("infeasible", {}, INF, {}, {})
     up = np.maximum(up, lo)
     at_upper = np.zeros(n + m, dtype=bool)
-    inverse, updates = None, 0
+    inverse, updates, hot = None, 0, None
     if basis is None:
         head = _crash(std)
     else:
@@ -686,29 +763,34 @@ def solve_lp(model: Model, overrides: dict[int, tuple[float, float]] | None = No
         head, upper = basis.columns(n)
         at_upper[upper] = True
         inverse, updates = basis.inverse, basis.updates
+        if inverse is not None and basis.duals is not None and basis.duals[0] is std.c:
+            _, y, d, w = basis.duals
+            hot = (y, d.copy(), w.copy())
 
-    def optimize(cost):
+    def optimize(cost, duals=None):
         return _optimize(std, lo, up, cost, head, at_upper,
-                         None if inverse is None else inverse.copy(), updates)
+                         None if inverse is None else inverse.copy(), updates, duals)
 
-    status, sim = optimize(std.c)
+    status, sim = optimize(std.c, hot)
     pivots, refactors = sim.pivots, sim.refactors
     if status == "dual_infeasible":
         status, sim = optimize(np.zeros(n + m))
         pivots, refactors = pivots + sim.pivots, refactors + sim.refactors
         if status == "optimal":
             return LpSolution("unbounded", {}, -INF, {}, {}, pivots=pivots, refactors=refactors)
+    duals = None
     if status == "optimal":
         x = sim.x[:n]
         values, objective = dict(enumerate(x.tolist())), float(std.c[:n] @ x + std.offset)
         y, d = sim.y, sim.d[:n]
+        duals = (std.c, sim.y, sim.d, sim.w)
     else:
         values, objective = {}, INF
         y, d = sim.ray[n:], -sim.ray[:n]
     return LpSolution(status, values, objective, dict(enumerate(y.tolist())),
                       dict(enumerate(d.tolist())),
                       LpBasis(sim.head, np.flatnonzero(sim.at_up & (sim.pos < 0)), n,
-                              sim.binv, sim.updates),
+                              sim.binv, sim.updates, duals),
                       pivots, refactors)
 
 

@@ -120,7 +120,9 @@ class TestDemandRate:
 
     def test_pattern_rates_match_logit_reference(self):
         # every open pattern of tiny seeds 0-5 against the formula built
-        # from logit_probabilities: sum_i theta_i (w_i + b_i open_near_i) p_ij
+        # from logit_probabilities: sum_i theta_i (w_i + b_i open_near_i) p_ij;
+        # one pattern alone (station_rates) gets its row of the whole block
+        # to the last bit, so the greedy and pricing size stations alike
         for seed in range(6):
             inst = generate(PRESETS["tiny"], seed)
             cov = coverage_sets(inst)
@@ -143,8 +145,7 @@ class TestDemandRate:
                         for j, p in logit_probabilities(inst, mask, n, i).items():
                             want[j] += load * p
                     assert list(row) == pytest.approx(want, rel=1e-12, abs=0.0)
-                    assert station_rates(inst, mask, n) == pytest.approx(want, rel=1e-12,
-                                                                         abs=0.0)
+                    assert station_rates(inst, mask, n) == tuple(row.tolist())
 
 
 class TestBuildSizes:

@@ -1,3 +1,5 @@
+import collections
+import copy
 import dataclasses
 import heapq
 import itertools
@@ -995,7 +997,9 @@ class TestCarriedInverse:
     def test_corrupted_inverse_is_inverted_again(self, noise):
         # noise on a carried inverse fails the residual check, so the solve
         # inverts the basis afresh and ends at the cold optimum, whether it
-        # needs pivots (children) or none (the same LP again)
+        # needs pivots (children) or none (the same LP again), and whether
+        # it recomputes the duals or carries them in (a hot start checks the
+        # primal residual alone)
         rng = random.Random(13)
         noisy = np.random.default_rng(13)
         checked = 0
@@ -1005,19 +1009,18 @@ class TestCarriedInverse:
             if root.status != "optimal":
                 continue
             basis = root.basis
-            bad = LpBasis(basis.head, basis.at_upper, basis.n,
-                          basis.inverse + noise * noisy.standard_normal(basis.inverse.shape),
-                          basis.updates)
+            inverse = basis.inverse + noise * noisy.standard_normal(basis.inverse.shape)
             cases = [{}] + [{vid: (fix, fix)} for vid in m.binary_ids[:2] for fix in (0.0, 1.0)]
-            for over in cases:
+            for over, duals in itertools.product(cases, (None, basis.duals)):
                 cold = solve_lp(m, over)
-                warm = solve_lp(m, over, basis=bad)
+                warm = solve_lp(m, over, basis=LpBasis(basis.head, basis.at_upper, basis.n,
+                                                       inverse, basis.updates, duals))
                 assert warm.status == cold.status, f"trial {trial}"
                 if cold.status == "optimal":
                     assert warm.refactors >= 1
                     assert warm.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-9)
                     checked += 1
-        assert checked >= 50
+        assert checked >= 100
 
     def test_updates_counted_across_warm_starts(self, monkeypatch):
         # with an inversion due every 3 updates, no carried inverse holds 3
@@ -1103,6 +1106,138 @@ class TestCarriedInverse:
         assert seen["heap"] >= 8 and seen["inverses"] <= 3
 
 
+def tiny_mip_models():
+    """The models of the benchmark's six tiny MIP cells, exact and partially
+    relaxed."""
+    for seed, b in itertools.product((3, 5), (0, 1, 2)):
+        inst = with_queue(generate(PRESETS["tiny"], seed), b=b)
+        for build in (build_evcec, build_revcec):
+            yield build(inst).model
+
+
+def same_solve(a, b) -> bool:
+    """Whether two LP solves ended alike to the last bit: status, pivots,
+    values, duals, reduced costs and basis."""
+    return (a.status == b.status and a.pivots == b.pivots and a.values == b.values
+            and a.duals == b.duals and a.reduced_costs == b.reduced_costs
+            and np.array_equal(a.basis.head, b.basis.head)
+            and np.array_equal(a.basis.at_upper, b.basis.at_upper))
+
+
+def without_duals(basis):
+    """The basis with its inverse but not the duals checked with it."""
+    return LpBasis(basis.head, basis.at_upper, basis.n, basis.inverse, basis.updates)
+
+
+class TestKeptState:
+    """A solver keeps its masks, duals, reduced costs and weights across
+    pivots, restarts and warm starts instead of recomputing them."""
+
+    def test_hot_children_match_recomputed_starts(self, monkeypatch):
+        # every branch-and-bound child of the tiny MIP cells, solved again
+        # from its parent's basis: with the parent's inverse but not its
+        # duals, which are then recomputed through that inverse, the solve
+        # is the same to the last bit.  From the bare basis (a fresh inverse,
+        # other rounding) it reaches the same optimum, though a few children
+        # then break degenerate ties otherwise and end on another basis.
+        solve, calls = milp.solve_lp, []
+
+        def recorded(model, overrides=None, basis=None):
+            calls.append((model, overrides, basis, solve(model, overrides, basis)))
+            return calls[-1][-1]
+
+        monkeypatch.setattr(milp, "solve_lp", recorded)
+        for model in tiny_mip_models():
+            assert solve_mip(model).status == "optimal"
+        monkeypatch.undo()
+        children = [call for call in calls if call[2] is not None]
+        assert len(children) >= 100
+        assert sum(basis.duals is not None for _, _, basis, _ in children) >= 0.8 * len(children)
+        for model, overrides, basis, sol in children:
+            again = solve_lp(model, overrides, without_duals(basis))
+            assert same_solve(sol, again)
+            assert sol.refactors <= again.refactors
+            fresh = solve_lp(model, overrides, basis.bare())
+            assert fresh.status == sol.status
+            if sol.status == "optimal":
+                assert fresh.objective == pytest.approx(sol.objective, rel=1e-9)
+
+    def test_new_objective_recomputes_the_duals(self):
+        # set_objective rebuilds the standard form, so a basis solved under
+        # the old costs brings its inverse but not its duals
+        rng = random.Random(61)
+        moved = 0
+        for trial in range(40):
+            m = random_mip(rng)
+            first = solve_lp(m)
+            if first.status != "optimal":
+                continue
+            m.set_objective([(j, rng.uniform(-5, 5)) for j in range(m.num_vars)])
+            warm = solve_lp(m, basis=first.basis)
+            again = solve_lp(m, basis=without_duals(first.basis))
+            assert same_solve(warm, again), f"trial {trial}"
+            cold = solve_lp(m)
+            assert warm.status == cold.status == "optimal"
+            assert warm.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-9)
+            moved += warm.pivots > 0
+        assert moved >= 10
+
+    @pytest.mark.parametrize("stall_pivots", [100, 1])
+    def test_kept_state_follows_every_change(self, stall_pivots, monkeypatch):
+        # the random LPs of test_random_lps_match_linprog (free, one-sided
+        # and boxed columns), once with the stall detector at its default
+        # and once firing after one degenerate pivot, so that runs restart:
+        # after every start, pivot, flip and run (a dual phase 1 among them)
+        # the kept masks equal their definition, the kept weights equal the
+        # squared row norms of the inverse, and a solver that takes over y
+        # and d holds what recomputing them through its inverse gives, all
+        # to the last bit
+        events = collections.Counter()
+
+        def check(sim, event):
+            nonbasic, at_lo = sim.pos < 0, ~sim.at_up & sim.finite_lo
+            assert np.array_equal(sim.can_rise, nonbasic & sim.movable & ~sim.at_up), event
+            assert np.array_equal(sim.can_fall, nonbasic & sim.movable & ~at_lo), event
+            assert np.array_equal(sim.w, np.einsum("ij,ij->i", sim.binv, sim.binv)), event
+            events[event] += 1
+
+        init, pivot, flip, run = (milp._DualSimplex.__init__, milp._DualSimplex.pivot,
+                                  milp._DualSimplex.flip, milp._DualSimplex.run)
+
+        def started(sim, std, lo, up, cost, head, at_upper, inverse=None, updates=0,
+                    duals=None):
+            init(sim, std, lo, up, cost, head, at_upper, inverse, updates, duals)
+            if duals is not None:
+                ref = copy.copy(sim)
+                ref.x = sim.x.copy()
+                ref._recompute()
+                assert np.array_equal(sim.y, ref.y) and np.array_equal(sim.d, ref.d)
+                events["hot"] += 1
+            check(sim, "start" if inverse is None else "restart")
+
+        def pivoted(sim, *args):
+            pivot(sim, *args)
+            check(sim, "pivot")
+
+        def flipped(sim, cols):
+            flip(sim, cols)
+            check(sim, "flip")
+
+        def ran(sim, stall=None):
+            status = run(sim, stall)
+            check(sim, "phase 1" if stall is None else "run")
+            return status
+
+        monkeypatch.setattr(milp, "_STALL_PIVOTS", stall_pivots)
+        for name, method in (("__init__", started), ("pivot", pivoted), ("flip", flipped),
+                             ("run", ran)):
+            monkeypatch.setattr(milp._DualSimplex, name, method)
+        rng = random.Random(4242)
+        for _ in range(120):
+            solve_lp(random_lp(rng, rng.randint(2, 8), rng.randint(1, 6)))
+        assert min(events.values()) >= 10 and len(events) == 7, events
+
+
 class TestCrashBasis:
     def test_crash_invariants_on_tiny_models(self):
         # the benchmark's tiny MIP cells, exact and partially relaxed: the
@@ -1110,32 +1245,29 @@ class TestCrashBasis:
         # y = 0 and d = c, and reaches the optimum of an all-logical start
         # in at most 0.6 of its pivots
         crash_pivots = logical_pivots = 0
-        for seed, b in itertools.product((3, 5), (0, 1, 2)):
-            inst = with_queue(generate(PRESETS["tiny"], seed), b=b)
-            for build in (build_evcec, build_revcec):
-                m = build(inst).model
-                std = milp._standard_form(m)
-                head = milp._crash(std)
-                assert np.array_equal(head, crash_by_loop(m))
-                rows = np.flatnonzero(head < std.n)
-                rows = rows[np.argsort(head[rows])]   # in crash order
-                cols = head[rows]
-                assert cols.size > 0
-                assert np.all(std.c[cols] == 0.0) and np.all(std.lo[cols] < std.up[cols])
-                # no crashed column has an entry in the row of a later one
-                block = std.A[np.ix_(rows, cols)]
-                assert np.all(np.tril(block, -1) == 0.0) and np.all(np.diag(block) != 0.0)
-                binv = milp._invert(std, head)
-                basis = np.hstack([std.A, np.eye(std.m)])[:, head]
-                assert np.abs(binv @ basis - np.eye(std.m)).max() <= 1e-9
-                start = milp._DualSimplex(std, std.lo, std.up, std.c, head,
-                                          np.zeros(std.n + std.m, dtype=bool))
-                assert np.all(start.y == 0.0) and np.all(start.d == std.c)
-                cold, ref = solve_lp(m), solve_lp(m, basis=all_logical(m))
-                assert cold.status == ref.status == "optimal"
-                assert cold.objective == pytest.approx(ref.objective, rel=1e-9)
-                crash_pivots += cold.pivots
-                logical_pivots += ref.pivots
+        for m in tiny_mip_models():
+            std = milp._standard_form(m)
+            head = milp._crash(std)
+            assert np.array_equal(head, crash_by_loop(m))
+            rows = np.flatnonzero(head < std.n)
+            rows = rows[np.argsort(head[rows])]   # in crash order
+            cols = head[rows]
+            assert cols.size > 0
+            assert np.all(std.c[cols] == 0.0) and np.all(std.lo[cols] < std.up[cols])
+            # no crashed column has an entry in the row of a later one
+            block = std.A[np.ix_(rows, cols)]
+            assert np.all(np.tril(block, -1) == 0.0) and np.all(np.diag(block) != 0.0)
+            binv = milp._invert(std, head)
+            basis = np.hstack([std.A, np.eye(std.m)])[:, head]
+            assert np.abs(binv @ basis - np.eye(std.m)).max() <= 1e-9
+            start = milp._DualSimplex(std, std.lo, std.up, std.c, head,
+                                      np.zeros(std.n + std.m, dtype=bool))
+            assert np.all(start.y == 0.0) and np.all(start.d == std.c)
+            cold, ref = solve_lp(m), solve_lp(m, basis=all_logical(m))
+            assert cold.status == ref.status == "optimal"
+            assert cold.objective == pytest.approx(ref.objective, rel=1e-9)
+            crash_pivots += cold.pivots
+            logical_pivots += ref.pivots
         assert crash_pivots <= 0.6 * logical_pivots
 
     def test_no_zero_cost_column_keeps_the_all_logical_basis(self):

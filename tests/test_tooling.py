@@ -83,3 +83,22 @@ def test_no_unused_imports():
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
                    if name not in used]
     assert not unused
+
+
+def test_package_imports_only_the_standard_library_and_numpy():
+    # pyproject.toml lists numpy as the one dependency: scipy (HiGHS) is a
+    # test oracle, and an import of it or of anything else installed here
+    # would make the package fail on a clean install
+    allowed = set(sys.stdlib_module_names) | {"numpy", "chargeplan"}
+    foreign = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:  # relative imports stay inside the package
+                continue
+            foreign += [f"{path.name}:{node.lineno} {name}" for name in names
+                        if name.split(".")[0] not in allowed]
+    assert not foreign
